@@ -31,9 +31,9 @@
 //! avatar-lint rule denies `..` rest patterns in those functions).
 //!
 //! **Entry format.** One JSON file per key (`<dir>/<key:016x>.json`),
-//! schema-versioned (`avatar-cache/1`), holding the recorded engine
+//! schema-versioned (`avatar-cache/2`), holding the recorded engine
 //! fingerprint, the cell's `Stats::digest()`, its wall time, and the
-//! `Stats` payload hex-encoded via the checkpoint [`Writer`]. Writes go
+//! `Stats` payload hex-encoded via the codec [`Writer`]. Writes go
 //! through a temp file + atomic rename so concurrent sweeps sharing a
 //! cache directory never observe a torn entry.
 //!
@@ -50,7 +50,7 @@ use crate::json::Json;
 use crate::obj;
 use avatar_core::policy::PolicySelection;
 use avatar_core::system::RunOptions;
-use avatar_sim::checkpoint::{Reader, Writer};
+use avatar_sim::codec::{Reader, Writer};
 use avatar_sim::config::GpuConfig;
 use avatar_sim::invariant::Fnv64;
 use avatar_sim::Stats;
@@ -61,7 +61,7 @@ use std::sync::OnceLock;
 
 /// Entry schema identifier; bump on any layout change. A file with a
 /// different schema is treated as a miss (old format, not corruption).
-pub const SCHEMA: &str = "avatar-cache/1";
+pub const SCHEMA: &str = "avatar-cache/2";
 
 /// Default cache directory when neither `--cache` nor `AVATAR_CACHE`
 /// names one.

@@ -91,13 +91,6 @@ fn fast_path_full_debug_rendering_matches() {
         for s in [&mut on, &mut off] {
             s.events_processed = 0;
             s.idle_cycles_skipped = 0;
-            // Per-domain decomposition of events_processed and the barrier
-            // bookkeeping derived from calendar occupancy: host-side
-            // structure counters, changed by the same mechanism (fewer
-            // calendar events) the two fields above already allow for.
-            s.shard_events.clear();
-            s.horizon_barriers = 0;
-            s.horizon_stalls = 0;
         }
         assert_eq!(
             format!("{on:?}"),

@@ -41,8 +41,6 @@ pub struct StructDef {
 pub struct FnDef {
     /// Function name.
     pub name: String,
-    /// 1-based declaration line (of the `fn` keyword).
-    pub line: u32,
     /// Enclosing `impl` target type name, if any.
     pub self_type: Option<String>,
     /// Named, explicitly-typed parameters (`self` excluded).
@@ -541,7 +539,6 @@ fn parse_fn(cur: &mut Cursor, self_type: Option<&str>, model: &mut FileModel) {
     let _ = self_type;
     model.fns.push(FnDef {
         name,
-        line,
         self_type: self_type.map(str::to_string),
         params,
         body,

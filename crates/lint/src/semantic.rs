@@ -1,29 +1,22 @@
-//! Workspace-level semantic rules over the item graph and call graph.
+//! Workspace-level semantic rules over the item graph.
 //!
 //! The per-file [`crate::items`] models are stitched into a workspace
-//! view: struct definitions indexed by name, methods indexed by
-//! `(impl target, name)`, free functions by name. Call sites are
-//! extracted from body token streams and resolved *by name with typed
-//! context* — `self.field.m(…)` follows declared field types,
-//! `x.m(…)` follows typed params and `let x: T` locals, `T::m(…)` and
-//! `crate::module::f(…)` follow the path. Receivers whose type cannot
-//! be derived this way produce no edge: the analysis deliberately
-//! under-approximates rather than guess (documented in DESIGN.md §13).
+//! view: struct definitions indexed by name and methods indexed by
+//! `(impl target, name)`. Receiver types inside a fn body are resolved
+//! *by name with typed context* — `self.field` chains follow declared
+//! field types, `x` follows typed params and `let x: T` locals.
+//! Receivers whose type cannot be derived this way are skipped: the
+//! analysis deliberately under-approximates rather than guess
+//! (documented in DESIGN.md §13).
 //!
-//! Four rules run on top:
+//! Two rules run on top:
 //!
-//! * `shard-reachability` — no call path from a fn defined in a
-//!   shard-domain module to a method of a shared-domain type (and no
-//!   direct mention of one, subsuming the retired `shard-shared-state`
-//!   line rule).
 //! * `digest-field-parity` — every field of a struct that has a
 //!   `digest`/`key_digest` method must be read inside that method or
 //!   carry `lint:digest-exempt(reason)`.
-//! * `checkpoint-field-parity` — a `save_state`/`load_state` impl pair
-//!   must touch identical field sets.
 //! * `map-iteration-determinism` — hash-map iteration inside a fn whose
 //!   results can flow into digests, event scheduling, or serialized
-//!   checkpoints must go through a sorted adapter.
+//!   state must go through a sorted adapter.
 //!
 //! Escapes for these rules are *reasoned* markers —
 //! `lint:exempt(rule-id: reason)` (or `lint:digest-exempt(reason)` for
@@ -34,9 +27,8 @@
 use crate::items::{self, FileModel, StructDef};
 use crate::lexer::{self, Kind, Lexed, Token};
 use crate::{
-    crate_of, mark_tests, Config, Finding, CHECKPOINT_FIELD_PARITY, DIGEST_FIELD_PARITY,
-    MAP_ITERATION_DETERMINISM, MIN_EXPECT_LEN, SHARD_DOMAIN_FILES, SHARD_ENTRY_TYPES,
-    SHARD_REACHABILITY, SHARED_DOMAIN_TYPES,
+    crate_of, mark_tests, Config, Finding, DIGEST_FIELD_PARITY, MAP_ITERATION_DETERMINISM,
+    MIN_EXPECT_LEN,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -57,7 +49,7 @@ const ORDER_FREE_TERMINALS: &[&str] =
 const SINK_BODY_IDENTS: &[&str] = &["schedule", "schedule_in", "digest", "key_digest"];
 
 /// Fn names that are sinks by themselves (serialization order is part
-/// of the checkpoint format; digests fold in visit order).
+/// of the encoded format; digests fold in visit order).
 const SINK_FN_NAMES: &[&str] = &["save_state", "load_state", "digest", "key_digest"];
 
 /// Everything the semantic pass needs about one file.
@@ -77,16 +69,6 @@ impl FileCtx<'_> {
         self.is_test.get(line as usize - 1).copied().unwrap_or(false)
     }
 
-    /// `sm.rs` from `crates/sim/src/sm.rs` (for path rendering).
-    fn file_name(&self) -> &str {
-        self.rel.rsplit('/').next().unwrap_or(self.rel)
-    }
-
-    /// `sm` from `crates/sim/src/sm.rs` (for module-path hints).
-    fn stem(&self) -> &str {
-        self.file_name().strip_suffix(".rs").unwrap_or(self.file_name())
-    }
-
     /// Whether the 0-based line holds nothing but a `//` comment — used
     /// to let an exemption marker sit at the head of a multi-line
     /// explanation block above the flagged line.
@@ -98,17 +80,13 @@ impl FileCtx<'_> {
 /// `(file index, fn index within that file's model)`.
 type FnId = (usize, usize);
 
-/// The stitched workspace view plus the extracted call graph.
+/// The stitched workspace view.
 struct Workspace<'s> {
     files: Vec<FileCtx<'s>>,
     /// Struct name → every definition site.
     structs: BTreeMap<String, Vec<(usize, usize)>>,
     /// `(impl target, method name)` → definition sites.
     methods: BTreeMap<(String, String), Vec<FnId>>,
-    /// Free fn name → definition sites.
-    free_fns: BTreeMap<String, Vec<FnId>>,
-    /// Call edges: caller → `(callee, call-site line)` in body order.
-    calls: BTreeMap<FnId, Vec<(FnId, u32)>>,
 }
 
 /// Parses reasoned exemption markers from one raw source line:
@@ -160,9 +138,7 @@ pub(crate) fn lint(files: &[(String, String)], cfg: &Config, out: &mut Vec<Findi
         ctxs.push(FileCtx { rel, src, lexed, is_test, model, exempts });
     }
     let ws = Workspace::build(ctxs);
-    ws.shard_reachability(cfg, out);
     ws.digest_field_parity(cfg, out);
-    ws.checkpoint_field_parity(cfg, out);
     ws.map_iteration_determinism(cfg, out);
 }
 
@@ -172,8 +148,6 @@ impl<'s> Workspace<'s> {
             files,
             structs: BTreeMap::new(),
             methods: BTreeMap::new(),
-            free_fns: BTreeMap::new(),
-            calls: BTreeMap::new(),
         };
         for (fi, ctx) in ws.files.iter().enumerate() {
             for (si, s) in ctx.model.structs.iter().enumerate() {
@@ -182,29 +156,11 @@ impl<'s> Workspace<'s> {
                 }
             }
             for (ni, f) in ctx.model.fns.iter().enumerate() {
-                if f.is_test {
-                    continue;
-                }
-                match &f.self_type {
-                    Some(t) => ws
-                        .methods
-                        .entry((t.clone(), f.name.clone()))
-                        .or_default()
-                        .push((fi, ni)),
-                    None => ws.free_fns.entry(f.name.clone()).or_default().push((fi, ni)),
+                if let (false, Some(t)) = (f.is_test, &f.self_type) {
+                    ws.methods.entry((t.clone(), f.name.clone())).or_default().push((fi, ni));
                 }
             }
         }
-        let mut calls = BTreeMap::new();
-        for fi in 0..ws.files.len() {
-            for ni in 0..ws.files[fi].model.fns.len() {
-                let edges = ws.extract_calls((fi, ni));
-                if !edges.is_empty() {
-                    calls.insert((fi, ni), edges);
-                }
-            }
-        }
-        ws.calls = calls;
         ws
     }
 
@@ -226,41 +182,6 @@ impl<'s> Workspace<'s> {
             return Some(&self.files[*fi].model.structs[*si]);
         }
         None
-    }
-
-    /// Resolves a free-fn call by name. `module_hint` is the last
-    /// lowercase path segment before the name (`crate::addr::f` →
-    /// `addr`), matched against file stems.
-    fn resolve_free(&self, name: &str, from_file: usize, module_hint: Option<&str>) -> Vec<FnId> {
-        let Some(sites) = self.free_fns.get(name) else { return Vec::new() };
-        if let Some(hint) = module_hint {
-            let hinted: Vec<FnId> = sites
-                .iter()
-                .copied()
-                .filter(|&(fi, _)| self.files[fi].stem() == hint)
-                .collect();
-            if !hinted.is_empty() {
-                return hinted;
-            }
-        }
-        let same_file: Vec<FnId> =
-            sites.iter().copied().filter(|&(fi, _)| fi == from_file).collect();
-        if !same_file.is_empty() {
-            return same_file;
-        }
-        let my_crate = crate_of(self.files[from_file].rel);
-        let in_crate: Vec<FnId> = sites
-            .iter()
-            .copied()
-            .filter(|&(fi, _)| crate_of(self.files[fi].rel) == my_crate)
-            .collect();
-        if in_crate.len() == 1 {
-            return in_crate;
-        }
-        if sites.len() == 1 {
-            return sites.clone();
-        }
-        Vec::new() // ambiguous: no edge rather than a guessed one
     }
 
     /// The head identifier of a type, seen through references and the
@@ -449,89 +370,6 @@ impl<'s> Workspace<'s> {
         }
     }
 
-    /// Extracts resolvable call edges from one fn body.
-    fn extract_calls(&self, id: FnId) -> Vec<(FnId, u32)> {
-        let ctx = &self.files[id.0];
-        let def = &ctx.model.fns[id.1];
-        let Some((lo, hi)) = def.body else { return Vec::new() };
-        if def.is_test {
-            return Vec::new();
-        }
-        let toks = &ctx.lexed.tokens;
-        let locals = self.typed_locals(id);
-        let mut edges = Vec::new();
-        for i in lo..hi.saturating_sub(1) {
-            if toks[i].kind != Kind::Ident {
-                continue;
-            }
-            let next = &toks[i + 1];
-            if next.kind != Kind::Open || next.text(ctx.src) != "(" {
-                continue;
-            }
-            let name = toks[i].text(ctx.src);
-            if matches!(
-                name,
-                "if" | "while" | "for" | "match" | "return" | "loop" | "in" | "as" | "let"
-                    | "else" | "move" | "fn" | "self"
-            ) {
-                continue;
-            }
-            let line = toks[i].line;
-            if ctx.line_is_test(line) {
-                continue;
-            }
-            let targets: Vec<FnId> = if i > lo
-                && toks[i - 1].kind == Kind::Punct
-                && toks[i - 1].text(ctx.src) == "."
-            {
-                // Method call: resolve the receiver chain's type.
-                match Self::walk_receiver(ctx, lo, i as isize - 2) {
-                    Some((root, fields)) => {
-                        let fs: Vec<&str> = fields.iter().map(String::as_str).collect();
-                        match self.chain_type(id, &root, &fs, &locals, true) {
-                            Some(ty) => self
-                                .methods
-                                .get(&(ty, name.to_string()))
-                                .cloned()
-                                .unwrap_or_default(),
-                            None => Vec::new(),
-                        }
-                    }
-                    None => Vec::new(),
-                }
-            } else if i >= lo + 2
-                && toks[i - 1].kind == Kind::Punct
-                && toks[i - 1].text(ctx.src) == ":"
-                && toks[i - 2].kind == Kind::Punct
-                && toks[i - 2].text(ctx.src) == ":"
-            {
-                // Path call `Seg::name(…)`: a capitalized segment is a
-                // type fn, a lowercase one a module-qualified free fn.
-                if i >= lo + 3 && toks[i - 3].kind == Kind::Ident {
-                    let seg = toks[i - 3].text(ctx.src);
-                    if seg.chars().next().is_some_and(char::is_uppercase) {
-                        self.methods
-                            .get(&(seg.to_string(), name.to_string()))
-                            .cloned()
-                            .unwrap_or_default()
-                    } else {
-                        self.resolve_free(name, id.0, Some(seg))
-                    }
-                } else {
-                    Vec::new()
-                }
-            } else {
-                self.resolve_free(name, id.0, None)
-            };
-            for t in targets {
-                if t != id {
-                    edges.push((t, line));
-                }
-            }
-        }
-        edges
-    }
-
     /// Reports a semantic finding, honoring reasoned exemption markers
     /// on the flagged line or the line above.
     fn emit(
@@ -579,172 +417,6 @@ impl<'s> Workspace<'s> {
             message,
             allowed: allowed || cfg.is_allowed(rule),
         });
-    }
-
-    /// Renders a fn for call-path messages: `sm.rs::tick` for free fns
-    /// and inherent methods of non-shared types, `Dram::service` once
-    /// the path lands in the shared domain.
-    fn fn_label(&self, id: FnId) -> String {
-        let ctx = &self.files[id.0];
-        let f = &ctx.model.fns[id.1];
-        match &f.self_type {
-            Some(t) if SHARED_DOMAIN_TYPES.contains(&t.as_str()) => format!("{t}::{}", f.name),
-            _ => format!("{}::{}", ctx.file_name(), f.name),
-        }
-    }
-
-    // -- rule: shard-reachability ------------------------------------------
-
-    fn shard_reachability(&self, cfg: &Config, out: &mut Vec<Finding>) {
-        // Target set: every method implemented on a shared-domain type.
-        let mut targets: BTreeSet<FnId> = BTreeSet::new();
-        for ((ty, _), ids) in &self.methods {
-            if SHARED_DOMAIN_TYPES.contains(&ty.as_str()) {
-                targets.extend(ids.iter().copied());
-            }
-        }
-        // Worker entry points: every inherent method of a
-        // SHARD_ENTRY_TYPES type is a first-class BFS root, wherever it
-        // is defined.
-        let mut entry_roots: BTreeSet<FnId> = BTreeSet::new();
-        for ((ty, _), ids) in &self.methods {
-            if SHARD_ENTRY_TYPES.contains(&ty.as_str()) {
-                entry_roots.extend(ids.iter().copied());
-            }
-        }
-        for (fi, ctx) in self.files.iter().enumerate() {
-            if !SHARD_DOMAIN_FILES.contains(&ctx.rel) {
-                continue;
-            }
-            // Direct mentions (signatures, fields, bodies) — the retired
-            // line rule's check, now token-accurate.
-            let mut seen_lines = BTreeSet::new();
-            for t in &ctx.lexed.tokens {
-                if t.kind == Kind::Ident
-                    && SHARED_DOMAIN_TYPES.contains(&t.text(ctx.src))
-                    && !ctx.line_is_test(t.line)
-                    && seen_lines.insert(t.line)
-                {
-                    self.emit(
-                        fi,
-                        t.line,
-                        SHARD_REACHABILITY,
-                        format!(
-                            "shared-domain type `{}` referenced directly from a shard-domain \
-                             module; under bounded-lag sharding, cross-domain work must go \
-                             through scheduled events",
-                            t.text(ctx.src)
-                        ),
-                        cfg,
-                        out,
-                    );
-                }
-            }
-            // Call-graph reachability from every fn defined here.
-            for (ni, f) in ctx.model.fns.iter().enumerate() {
-                if f.is_test || f.body.is_none() {
-                    continue;
-                }
-                let entry = (fi, ni);
-                if let Some((path, first_line)) =
-                    self.reach_shared(entry, &targets, &BTreeSet::new())
-                {
-                    let rendered: Vec<String> =
-                        path.iter().map(|&id| self.fn_label(id)).collect();
-                    self.emit(
-                        fi,
-                        first_line,
-                        SHARD_REACHABILITY,
-                        format!(
-                            "call path from shard-domain fn reaches shared-domain state: {}",
-                            rendered.join(" -> ")
-                        ),
-                        cfg,
-                        out,
-                    );
-                }
-            }
-        }
-        // Worker entry points, audited call-graph only (their file also
-        // hosts shared-lane code, so the direct-mention scan would
-        // drown in legitimate references). Paths through *other* entry
-        // points are pruned: the inner root is audited — and, for the
-        // sanctioned ideal-mode calls, exempted — at its own call site.
-        for &entry in &entry_roots {
-            let (fi, ni) = entry;
-            let ctx = &self.files[fi];
-            if SHARD_DOMAIN_FILES.contains(&ctx.rel) {
-                continue; // already covered by the file-scoped pass
-            }
-            let f = &ctx.model.fns[ni];
-            if f.is_test || f.body.is_none() {
-                continue;
-            }
-            if let Some((path, first_line)) =
-                self.reach_shared(entry, &targets, &entry_roots)
-            {
-                let rendered: Vec<String> = path.iter().map(|&id| self.fn_label(id)).collect();
-                self.emit(
-                    fi,
-                    first_line,
-                    SHARD_REACHABILITY,
-                    format!(
-                        "call path from shard worker entry point reaches shared-domain \
-                         state: {}",
-                        rendered.join(" -> ")
-                    ),
-                    cfg,
-                    out,
-                );
-            }
-        }
-    }
-
-    /// BFS from `entry`; on reaching a target returns the call path and
-    /// the line of the first hop out of `entry`. Fns in `stop` are not
-    /// traversed *through* (they are independent audit roots), though
-    /// `entry` itself may be one.
-    fn reach_shared(
-        &self,
-        entry: FnId,
-        targets: &BTreeSet<FnId>,
-        stop: &BTreeSet<FnId>,
-    ) -> Option<(Vec<FnId>, u32)> {
-        let mut parent: BTreeMap<FnId, (FnId, u32)> = BTreeMap::new();
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(entry);
-        let mut visited = BTreeSet::new();
-        visited.insert(entry);
-        while let Some(cur) = queue.pop_front() {
-            if let Some(edges) = self.calls.get(&cur) {
-                for &(next, line) in edges {
-                    if stop.contains(&next) {
-                        continue;
-                    }
-                    if targets.contains(&next) {
-                        // Reconstruct entry → … → cur → next.
-                        let mut path = vec![next, cur];
-                        let mut walk = cur;
-                        while let Some(&(p, _)) = parent.get(&walk) {
-                            path.push(p);
-                            walk = p;
-                        }
-                        path.reverse();
-                        let first_line = if path.len() >= 2 {
-                            parent.get(&path[1]).map_or(line, |&(_, l)| l)
-                        } else {
-                            line
-                        };
-                        return Some((path, first_line));
-                    }
-                    if visited.insert(next) {
-                        parent.insert(next, (cur, line));
-                        queue.push_back(next);
-                    }
-                }
-            }
-        }
-        None
     }
 
     // -- rule: digest-field-parity -----------------------------------------
@@ -841,71 +513,6 @@ impl<'s> Workspace<'s> {
                         );
                     }
                 }
-            }
-        }
-    }
-
-    // -- rule: checkpoint-field-parity -------------------------------------
-
-    fn checkpoint_field_parity(&self, cfg: &Config, out: &mut Vec<Finding>) {
-        // Group save/load impls by (file, impl target): cfg-gated twins
-        // of the same pair union their touched sets.
-        let mut pairs: BTreeMap<(usize, String), (Vec<FnId>, Vec<FnId>)> = BTreeMap::new();
-        for ((ty, name), ids) in &self.methods {
-            let slot = match name.as_str() {
-                "save_state" => 0,
-                "load_state" => 1,
-                _ => continue,
-            };
-            for &(fi, ni) in ids {
-                if self.files[fi].model.fns[ni].body.is_none() {
-                    continue; // trait declarations have nothing to scan
-                }
-                let entry = pairs.entry((fi, ty.clone())).or_default();
-                if slot == 0 {
-                    entry.0.push((fi, ni));
-                } else {
-                    entry.1.push((fi, ni));
-                }
-            }
-        }
-        for ((fi, ty), (saves, loads)) in &pairs {
-            if saves.is_empty() || loads.is_empty() {
-                continue;
-            }
-            let Some(sdef) = self.struct_def(ty, *fi) else { continue };
-            if sdef.fields.is_empty() {
-                continue;
-            }
-            let save_ids = self.body_idents(saves);
-            let load_ids = self.body_idents(loads);
-            let save_line = self.files[saves[0].0].model.fns[saves[0].1].line;
-            let load_line = self.files[loads[0].0].model.fns[loads[0].1].line;
-            for f in &sdef.fields {
-                let in_save = save_ids.contains(&f.name);
-                let in_load = load_ids.contains(&f.name);
-                if in_save == in_load {
-                    continue;
-                }
-                // Anchor at the fn that *misses* the field.
-                let (line, missing, present) = if in_save {
-                    (load_line, "load_state", "save_state")
-                } else {
-                    (save_line, "save_state", "load_state")
-                };
-                self.emit(
-                    *fi,
-                    line,
-                    CHECKPOINT_FIELD_PARITY,
-                    format!(
-                        "field `{}` of `{ty}` is touched by {present} but not {missing}; a \
-                         checkpoint round-trip would silently diverge — cover the field or \
-                         mark the fn `lint:exempt({CHECKPOINT_FIELD_PARITY}: <reason>)`",
-                        f.name
-                    ),
-                    cfg,
-                    out,
-                );
             }
         }
     }
@@ -1284,201 +891,6 @@ mod tests {
         assert_eq!(f.len(), 1);
         assert!(!f[0].allowed, "short reason must stay deny: {f:#?}");
         assert!(f[0].message.contains("too short"));
-    }
-
-    #[test]
-    fn checkpoint_parity_flags_asymmetric_pair() {
-        let src = "//! d\n\
-            pub struct L { pub head: u64, pub tail: u64 }\n\
-            impl L {\n\
-                pub fn save_state(&self, out: &mut Vec<u64>) { out.push(self.head); out.push(self.tail); }\n\
-                pub fn load_state(&mut self, v: &[u64]) { self.head = v[0]; }\n\
-            }\n";
-        let f = run(&[("crates/sim/src/x.rs", src)]);
-        assert_eq!(f.len(), 1, "{f:#?}");
-        assert_eq!(f[0].rule, CHECKPOINT_FIELD_PARITY);
-        assert_eq!(f[0].line, 5, "anchored at the fn missing the field");
-        assert!(f[0].message.contains("`tail`"));
-    }
-
-    #[test]
-    fn checkpoint_parity_ignores_param_shadowed_field_names() {
-        // `w: &mut Writer` must not read as a touch of the field `w`;
-        // a `self.`-qualified mention still counts.
-        let src = "//! d\n\
-            pub struct L { w: u64, pub head: u64 }\n\
-            impl L {\n\
-                pub fn save_state(&self, w: &mut Vec<u64>) { w.push(self.head); }\n\
-                pub fn load_state(&mut self, v: &[u64]) { self.head = v[0]; }\n\
-            }\n";
-        assert!(run(&[("crates/sim/src/x.rs", src)]).is_empty());
-        // self-qualified: `self.w` in save only → asymmetric again.
-        let src2 = src.replace("{ w.push(self.head); }", "{ w.push(self.head); w.push(self.w); }");
-        let f = run(&[("crates/sim/src/x.rs", &src2)]);
-        assert_eq!(f.len(), 1, "{f:#?}");
-        assert!(f[0].message.contains("`w`"));
-    }
-
-    #[test]
-    fn checkpoint_parity_symmetric_pair_is_clean() {
-        let src = "//! d\n\
-            pub struct L { pub head: u64, pub tail: u64 }\n\
-            impl L {\n\
-                pub fn save_state(&self, out: &mut Vec<u64>) { out.push(self.head); out.push(self.tail); }\n\
-                pub fn load_state(&mut self, v: &[u64]) { self.head = v[0]; self.tail = v[1]; }\n\
-            }\n";
-        assert!(run(&[("crates/sim/src/x.rs", src)]).is_empty());
-    }
-
-    #[test]
-    fn shard_reachability_follows_cross_file_calls() {
-        let sm = "//! d\n\
-            pub fn tick(now: u64) {\n\
-                crate::addr::poke(now);\n\
-            }\n";
-        let addr = "//! d\n\
-            pub fn poke(now: u64) {\n\
-                let mut d: crate::dram::Dram = crate::dram::Dram::default();\n\
-                d.service(now);\n\
-            }\n";
-        let dram = "//! d\n\
-            pub struct Dram { pub q: u64 }\n\
-            impl Dram {\n\
-                pub fn service(&mut self, now: u64) { self.q = now; }\n\
-            }\n";
-        let f = run(&[
-            ("crates/sim/src/sm.rs", sm),
-            ("crates/sim/src/addr.rs", addr),
-            ("crates/sim/src/dram.rs", dram),
-        ]);
-        assert_eq!(f.len(), 1, "{f:#?}");
-        assert_eq!(f[0].rule, SHARD_REACHABILITY);
-        assert_eq!(f[0].file, "crates/sim/src/sm.rs");
-        assert_eq!(f[0].line, 3, "anchored at the first hop's call site");
-        assert!(f[0].message.contains("sm.rs::tick"), "{}", f[0].message);
-        assert!(f[0].message.contains("Dram::service"), "{}", f[0].message);
-    }
-
-    #[test]
-    fn shard_reachability_roots_at_worker_entry_types() {
-        // A ShardLane method is a BFS root even though engine.rs is not
-        // in the shard-domain file list.
-        let engine = "//! d\n\
-            pub struct ShardLane { pub now: u64 }\n\
-            impl ShardLane {\n\
-                pub fn drain_window(&mut self, horizon: u64) {\n\
-                    self.now = horizon;\n\
-                    crate::addr::poke(horizon);\n\
-                }\n\
-            }\n";
-        let addr = "//! d\n\
-            pub fn poke(now: u64) {\n\
-                let mut d: crate::dram::Dram = crate::dram::Dram::default();\n\
-                d.service(now);\n\
-            }\n";
-        let dram = "//! d\n\
-            pub struct Dram { pub q: u64 }\n\
-            impl Dram {\n\
-                pub fn service(&mut self, now: u64) { self.q = now; }\n\
-            }\n";
-        let f = run(&[
-            ("crates/sim/src/engine.rs", engine),
-            ("crates/sim/src/addr.rs", addr),
-            ("crates/sim/src/dram.rs", dram),
-        ]);
-        assert_eq!(f.len(), 1, "{f:#?}");
-        assert_eq!(f[0].rule, SHARD_REACHABILITY);
-        assert_eq!(f[0].file, "crates/sim/src/engine.rs");
-        assert_eq!(f[0].line, 6, "anchored at the first hop's call site");
-        assert!(!f[0].allowed);
-        assert!(f[0].message.contains("worker entry point"), "{}", f[0].message);
-        assert!(f[0].message.contains("Dram::service"), "{}", f[0].message);
-    }
-
-    #[test]
-    fn shard_reachability_exempt_supports_trailing_reason_and_comment_blocks() {
-        // The sanctioned ideal-mode shape: the call site carries a
-        // multi-line `lint:exempt(rule): reason` comment whose marker
-        // sits at the head of the block.
-        let engine = "//! d\n\
-            pub struct ShardLane { pub now: u64 }\n\
-            impl ShardLane {\n\
-                pub fn drain_window(&mut self, horizon: u64) {\n\
-                    self.now = horizon;\n\
-                    // lint:exempt(shard-reachability): ideal-TLB mode is\n\
-                    // clamped to one lane, one worker; the shared lane\n\
-                    // is handed in synchronously.\n\
-                    crate::addr::poke(horizon);\n\
-                }\n\
-            }\n";
-        let addr = "//! d\n\
-            pub fn poke(now: u64) {\n\
-                let mut d: crate::dram::Dram = crate::dram::Dram::default();\n\
-                d.service(now);\n\
-            }\n";
-        let dram = "//! d\n\
-            pub struct Dram { pub q: u64 }\n\
-            impl Dram {\n\
-                pub fn service(&mut self, now: u64) { self.q = now; }\n\
-            }\n";
-        let f = run(&[
-            ("crates/sim/src/engine.rs", engine),
-            ("crates/sim/src/addr.rs", addr),
-            ("crates/sim/src/dram.rs", dram),
-        ]);
-        let shard: Vec<_> = f.iter().filter(|f| f.rule == SHARD_REACHABILITY).collect();
-        assert_eq!(shard.len(), 1, "{shard:#?}");
-        assert!(
-            shard[0].allowed,
-            "reasoned exemption at the head of the comment block must downgrade: {shard:#?}"
-        );
-    }
-
-    #[test]
-    fn shard_reachability_prunes_paths_through_other_entry_roots() {
-        // lane_a -> lane_b -> Dram: the path is audited (and here
-        // exempted) at lane_b's own call site; lane_a is not re-flagged
-        // for reaching Dram through another root.
-        let engine = "//! d\n\
-            pub struct ShardLane { pub now: u64 }\n\
-            impl ShardLane {\n\
-                pub fn lane_a(&mut self) {\n\
-                    self.lane_b();\n\
-                }\n\
-                pub fn lane_b(&mut self) {\n\
-                    // lint:exempt(shard-reachability): ideal-TLB mode is clamped to one lane\n\
-                    crate::addr::poke(self.now);\n\
-                }\n\
-            }\n";
-        let addr = "//! d\n\
-            pub fn poke(now: u64) {\n\
-                let mut d: crate::dram::Dram = crate::dram::Dram::default();\n\
-                d.service(now);\n\
-            }\n";
-        let dram = "//! d\n\
-            pub struct Dram { pub q: u64 }\n\
-            impl Dram {\n\
-                pub fn service(&mut self, now: u64) { self.q = now; }\n\
-            }\n";
-        let f = run(&[
-            ("crates/sim/src/engine.rs", engine),
-            ("crates/sim/src/addr.rs", addr),
-            ("crates/sim/src/dram.rs", dram),
-        ]);
-        let shard: Vec<_> = f.iter().filter(|f| f.rule == SHARD_REACHABILITY).collect();
-        assert_eq!(shard.len(), 1, "only lane_b's own site is audited: {shard:#?}");
-        assert_eq!(shard[0].line, 9);
-        assert!(shard[0].allowed, "{shard:#?}");
-    }
-
-    #[test]
-    fn shard_reachability_direct_mention_still_fires() {
-        let sm = "//! d\npub fn f(d: &mut Dram) { let _ = d; }\n";
-        let dram = "//! d\npub struct Dram { pub q: u64 }\n";
-        let f = run(&[("crates/sim/src/sm.rs", sm), ("crates/sim/src/dram.rs", dram)]);
-        assert_eq!(f.len(), 1, "{f:#?}");
-        assert_eq!(f[0].rule, SHARD_REACHABILITY);
-        assert_eq!(f[0].line, 2);
     }
 
     #[test]

@@ -71,7 +71,7 @@
 
 pub mod addr;
 pub mod cache;
-pub mod checkpoint;
+pub mod codec;
 pub mod config;
 pub mod dram;
 pub mod engine;
@@ -114,9 +114,7 @@ pub fn engine_fingerprint() -> &'static str {
 /// policy crates implement.
 ///
 /// Internals (the request slab, ports, event-calendar plumbing) are
-/// deliberately absent — they are `pub(crate)` or `#[doc(hidden)]` —
-/// and so is the hook-era `TranslationAccel` alias, which survives only
-/// in [`hooks`](crate::hooks) for code written against the old name.
+/// deliberately absent — they are `pub(crate)` or `#[doc(hidden)]`.
 ///
 /// ```
 /// use avatar_sim::prelude::*;

@@ -5,7 +5,7 @@ use avatar_sim::addr::{Ppn, VirtAddr, Vpn};
 use avatar_sim::config::GpuConfig;
 use avatar_sim::engine::Engine;
 use avatar_sim::hooks::{
-    NoSpeculation, SpecFillAction, SpecFillContext, TranslationAccel, UniformCompression,
+    NoSpeculation, SpecFillAction, SpecFillContext, TranslationPolicy, UniformCompression,
     ValidationKind,
 };
 use avatar_sim::sm::{WarpOp, WarpProgram};
@@ -71,7 +71,7 @@ fn tlbs(cfg: &GpuConfig) -> (Vec<Box<dyn TlbModel>>, Box<dyn TlbModel>) {
 fn run_script(
     cfg: GpuConfig,
     script: Script,
-    accel: Box<dyn TranslationAccel>,
+    accel: Box<dyn TranslationPolicy>,
     compress_fraction: f64,
 ) -> Stats {
     let (l1s, l2) = tlbs(&cfg);
@@ -94,7 +94,7 @@ struct FixedOffset {
     eaf: bool,
 }
 
-impl TranslationAccel for FixedOffset {
+impl TranslationPolicy for FixedOffset {
     fn on_l1_tlb_miss(&mut self, _sm: usize, _pc: u64, vpn: Vpn) -> Option<Ppn> {
         let p = vpn.0 as i64 + self.offset;
         (p > 0).then_some(Ppn(p as u64))
@@ -437,4 +437,43 @@ fn ideal_validation_completes_at_fetch() {
     );
     assert!(stats.outcomes.fast_translation > 0, "ideal validation is instant");
     assert_eq!(stats.cava_mismatches, 0);
+}
+
+/// Pins the single-request timeline on a baseline engine. SM 1 re-loads a
+/// sector that SM 0 already brought in, so it misses its own L1 TLB and
+/// L1 data cache but hits the L2 TLB and the L2 cache. Its completion
+/// cycle is the sum of the configured latencies, one cycle per SM→shared
+/// hop, and one response window per shared→SM hop (the translation and
+/// the sector fill). The window term is the modeled turnaround the
+/// engine adds to every shared→SM response.
+#[test]
+fn l2_hit_timeline_is_latencies_plus_one_window_per_response() {
+    const RESPONSE_WINDOW: u64 = 8;
+    const SM_TO_SHARED_HOP: u64 = 1;
+    let cfg = small_cfg();
+    // Far past SM 0's walk, DRAM fetch and fills: SM 1 finds every
+    // shared structure warm and every port idle.
+    let issue_at = 50_000;
+    let load = || WarpOp::Load { pc: 0x100, addrs: vec![VirtAddr(0x4000)] };
+    let mut s = Script::new(cfg.num_sms, cfg.warps_per_sm);
+    s.push(0, 0, load());
+    s.push(1, 0, WarpOp::Compute { cycles: issue_at });
+    s.push(1, 0, load());
+    let stats = run_script(cfg.clone(), s, Box::new(NoSpeculation), 0.0);
+    assert_eq!(stats.page_walks, 1, "only SM 0 walks");
+    assert_eq!(stats.l1d_hits, 0, "neither SM finds the sector in its own L1");
+
+    let translated = issue_at
+        + cfg.l1_tlb.latency
+        + SM_TO_SHARED_HOP
+        + cfg.l2_tlb.latency
+        + RESPONSE_WINDOW;
+    let completed = translated
+        + cfg.l1_cache.latency
+        + SM_TO_SHARED_HOP
+        + cfg.l2_cache.latency
+        + RESPONSE_WINDOW;
+    // The warp's next issue (which retires it) is the last event, one
+    // cycle after its only sector completes.
+    assert_eq!(stats.cycles, completed + 1);
 }

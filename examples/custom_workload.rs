@@ -101,7 +101,7 @@ fn run_once(avatar: bool) -> avatar_gpu::sim::Stats {
         })
         .collect();
     let l2 = Box::new(BaseTlb::new(cfg.l2_tlb.base_entries, cfg.l2_tlb.large_entries, 8, 1));
-    let policy: Box<dyn avatar_gpu::sim::hooks::TranslationAccel> = if avatar {
+    let policy: Box<dyn avatar_gpu::sim::hooks::TranslationPolicy> = if avatar {
         Box::new(AvatarPolicy::avatar(cfg.num_sms, 32, 2))
     } else {
         Box::new(NoSpeculation)
