@@ -46,7 +46,7 @@ use crate::hooks::{
     TranslationPolicy, ValidationKind,
 };
 use crate::page_table::PT_BASE;
-use crate::port::{MshrFile, MshrGrant, Ports};
+use crate::port::{MshrFile, MshrGrant, OverflowQueue, Ports, Retry};
 use crate::probe::{Phase, SpanPoint, Track};
 use crate::reqslab::{ReqId, ReqSlab};
 use crate::sm::{coalesce_into, SmState, WarpOp, WarpProgram, WarpState};
@@ -192,6 +192,13 @@ fn salt(tenant: usize, vpn: Vpn) -> u64 {
     vpn.0 | ((tenant as u64) << ASID_SHIFT)
 }
 
+/// The salted pages of `svpn`'s 2 MB chunk: the reach of any one TLB
+/// fill ([`TlbModel::fill`]).
+fn chunk_pages(svpn: u64) -> std::ops::Range<u64> {
+    let first = svpn & !(crate::addr::PAGES_PER_CHUNK - 1);
+    first..first + crate::addr::PAGES_PER_CHUNK
+}
+
 fn unsalt(svpn: u64) -> Vpn {
     Vpn(svpn & ((1 << ASID_SHIFT) - 1))
 }
@@ -232,7 +239,7 @@ struct SmLane<'a> {
     reqs: ReqSlab<MemReq>,
     l1_tlb_mshrs: Vec<MshrFile<u64, ReqId>>,
     // Per-SM retry queues: the outer Vec is fixed at the SM count and
-    // the inner ones are drained every retry, so this never becomes a
+    // the inner ones are walked on every retry, so this never becomes a
     // per-element hot structure. lint:allow(vec-vec)
     tlb_overflow: Vec<Vec<ReqId>>,
     l1_mshrs: Vec<MshrFile<u64, ReqId>>,
@@ -336,6 +343,12 @@ impl<'a> SmLane<'a> {
 
     fn tenant(&self, sm: u32) -> usize {
         tenant_of_sm(&self.cfg, sm)
+    }
+
+    /// The salted page `id` translates.
+    fn svpn(&self, id: ReqId) -> u64 {
+        let r = self.req(id);
+        salt(self.tenant(r.sm), r.vpn())
     }
 
     // Probe helpers (`probes` feature): spans land in the lane's
@@ -535,7 +548,9 @@ struct SharedLane<'a> {
     accel: Box<dyn TranslationPolicy>,
     compression: Box<dyn SectorCompression + 'a>,
     l2_tlb_mshr: MshrFile<u64, u32>,
-    l2_tlb_overflow: Vec<(u32, u64)>,
+    /// The SMs of L2-TLB misses waiting for MSHR space, filed under
+    /// their salted page (see [`SharedLane::drain_l2_tlb_overflow`]).
+    l2_tlb_overflow: OverflowQueue<u32>,
     l2_mshr: MshrFile<u64, L2Waiter>,
     l2_mshr_overflow: std::collections::VecDeque<(u64, L2Waiter)>,
     walk_of_vpn: FxHashMap<u64, WalkId>,
@@ -1047,28 +1062,40 @@ impl<'a> SmLane<'a> {
     /// request (which triggers the shared L2 TLB lookup) from merged
     /// followers (which still want residency/speculation handling).
     fn l1_tlb_miss_forward(&mut self, now: Cycle, id: ReqId) {
-        let (sm, vpn, pc, is_store) = {
-            let r = self.req(id);
-            (r.sm, r.vpn(), r.pc, r.is_store)
-        };
-        let svpn = salt(self.tenant(sm), vpn);
-        self.probe_phase(now, id, Phase::Walk);
         // Whatever the grant, the id gets stored: as an MSHR waiter
         // (allocated or merged) or on the overflow queue.
         self.req_ref(id);
+        let (grant, _) = self.l1_tlb_register(now, id);
+        if grant == MshrGrant::Full {
+            self.stats.l1_tlb_mshr_full += 1;
+            let li = self.req(id).sm as usize;
+            self.tlb_overflow[li].push(id);
+        }
+    }
+
+    /// The MSHR half of [`Self::l1_tlb_miss_forward`]: requests an L1
+    /// TLB MSHR for `id` and emits the `TlbMiss` unless the file is
+    /// full. Returns the grant and the salted page. The caller owns the
+    /// pin that the MSHR waiter list (or the overflow queue) keeps.
+    fn l1_tlb_register(&mut self, now: Cycle, id: ReqId) -> (MshrGrant, u64) {
+        let (sm, pc, is_store) = {
+            let r = self.req(id);
+            (r.sm, r.pc, r.is_store)
+        };
+        let svpn = self.svpn(id);
+        self.probe_phase(now, id, Phase::Walk);
         let li = sm as usize;
-        match self.l1_tlb_mshrs[li].request(svpn, id) {
+        let grant = self.l1_tlb_mshrs[li].request(svpn, id);
+        match grant {
             MshrGrant::Allocated => {
                 self.send(sm, now + 1, Ev::TlbMiss { req: id, sm, svpn, pc, is_store, need_l2: true });
             }
             MshrGrant::Merged => {
                 self.send(sm, now + 1, Ev::TlbMiss { req: id, sm, svpn, pc, is_store, need_l2: false });
             }
-            MshrGrant::Full => {
-                self.stats.l1_tlb_mshr_full += 1;
-                self.tlb_overflow[li].push(id);
-            }
+            MshrGrant::Full => {}
         }
+        (grant, svpn)
     }
 
     /// Handles [`Ev::SpecDispatch`]: the shared-side policy predicted a
@@ -1128,15 +1155,50 @@ impl<'a> SmLane<'a> {
         }
     }
 
-    /// MSHR space freed: retry overflow translation requests. The retry
-    /// re-pins the id before the queue's own pin is consumed.
+    /// MSHR space may have freed: retries this SM's overflowed
+    /// translation requests, with the outcome a retry of every entry in
+    /// queue order would have, charging `l1_tlb_mshr_full` once per entry
+    /// that stays queued.
+    ///
+    /// Only an entry whose grant can differ from Full is re-evaluated.
+    /// A queued page is never in the MSHR file, and a non-empty queue
+    /// sits on a full file: entries queue only when it is full, a slot
+    /// frees only in `complete_tlb_waiters` or `remote_done`, which both
+    /// retry at once, and a retry stops allocating when the file fills.
+    /// So while a slot is free every entry is re-evaluated front to back;
+    /// once the file is full, only entries for a page that an earlier
+    /// entry left the queue for in this retry can progress (they merge),
+    /// and every other entry would come back Full with no side effect. A
+    /// retry that finds the file full re-evaluates nothing.
+    /// In `probes` builds a skipped entry also skips its no-op re-entry
+    /// into `Phase::Walk`, so phase sums are unchanged but a sampled Walk
+    /// span may cover several retries.
     fn retry_tlb_overflow(&mut self, now: Cycle, sm: u32) {
         let li = sm as usize;
-        let pending = std::mem::take(&mut self.tlb_overflow[li]);
-        for id in pending {
-            self.l1_tlb_miss_forward(now, id);
-            self.req_unref(id);
+        if !self.tlb_overflow[li].is_empty() && !self.l1_tlb_mshrs[li].is_full() {
+            let mut queue = std::mem::take(&mut self.tlb_overflow[li]);
+            let mut room = true;
+            // Pages an earlier entry left the queue for in this retry;
+            // never empty once `room` is false.
+            let mut left: Vec<u64> = Vec::new();
+            queue.retain(|&id| {
+                if !room && !left.contains(&self.svpn(id)) {
+                    return true;
+                }
+                let (grant, svpn) = self.l1_tlb_register(now, id);
+                if grant == MshrGrant::Full {
+                    return true;
+                }
+                // The queue's pin on the id passes to its MSHR waiter list.
+                room = !self.l1_tlb_mshrs[li].is_full();
+                if !left.contains(&svpn) {
+                    left.push(svpn);
+                }
+                false
+            });
+            self.tlb_overflow[li] = queue;
         }
+        self.stats.l1_tlb_mshr_full += self.tlb_overflow[li].len() as u64;
     }
 
     /// Handles [`Ev::RemoteDone`]: a remote (host-memory) access
@@ -1717,7 +1779,7 @@ impl<'a> SharedLane<'a> {
             if need_l2 {
                 // Nothing was dispatched for this entry; make sure no
                 // stale resolution marker survives from a prior lifetime.
-                self.pending_resolve.remove(&(sm, svpn));
+                self.clear_pending(sm, svpn);
             }
             self.probe_span(
                 SpanPoint::Remote,
@@ -1783,6 +1845,17 @@ impl<'a> SharedLane<'a> {
         }
     }
 
+    /// Clears the `(sm, svpn)` resolution marker. A queued L2-TLB miss
+    /// re-checks its marker when next evaluated, so clearing one wakes
+    /// the page's queued misses. Setting one needs no wake: a sleeping
+    /// entry's marker is always set (checked-mode audited), so only an
+    /// entry that a clear already woke can see a marker set again.
+    fn clear_pending(&mut self, sm: u32, svpn: u64) {
+        if self.pending_resolve.remove(&(sm, svpn)) {
+            self.l2_tlb_overflow.wake(svpn);
+        }
+    }
+
     fn dispatch_l2_lookup(&mut self, now: Cycle, sm: u32, svpn: u64) {
         self.stats.l2_tlb_lookups += 1;
         let grant = self.l2_tlb_ports.grant(now);
@@ -1791,9 +1864,20 @@ impl<'a> SharedLane<'a> {
     }
 
     fn l2_tlb_result(&mut self, now: Cycle, sm: u32, svpn: u64) {
+        if self.l2_tlb_lookup(now, sm, svpn) == Some(MshrGrant::Full) {
+            self.stats.l2_tlb_mshr_full += 1;
+            self.l2_tlb_overflow.push(svpn, sm);
+        }
+    }
+
+    /// Looks `svpn` up in the L2 TLB for `sm`: a hit resolves it, a miss
+    /// requests an L2-TLB MSHR and starts or joins its walk. Returns the
+    /// MSHR grant, or `None` when the translation was already resolved or
+    /// hit.
+    fn l2_tlb_lookup(&mut self, now: Cycle, sm: u32, svpn: u64) -> Option<MshrGrant> {
         if !self.pending_resolve.contains(&(sm, svpn)) {
             // Already resolved (e.g. EAF released the entry).
-            return;
+            return None;
         }
         if let Some(hit) = self.l2_tlb.lookup(Vpn(svpn)) {
             self.stats.l2_tlb_hits += 1;
@@ -1804,16 +1888,15 @@ impl<'a> SharedLane<'a> {
                 1
             };
             self.resolve_one_sm(now, sm, svpn, hit.ppn, pages, Some(hit.run()), false);
-            return;
+            return None;
         }
-        match self.l2_tlb_mshr.request(svpn, sm) {
+        let grant = self.l2_tlb_mshr.request(svpn, sm);
+        match grant {
             MshrGrant::Allocated => self.start_walk(now, svpn),
             MshrGrant::Merged => self.stats.walk_merges += 1,
-            MshrGrant::Full => {
-                self.stats.l2_tlb_mshr_full += 1;
-                self.l2_tlb_overflow.push((sm, svpn));
-            }
+            MshrGrant::Full => {}
         }
+        Some(grant)
     }
 
     /// Delivers a resolved translation to one SM: clears its pending
@@ -1831,7 +1914,7 @@ impl<'a> SharedLane<'a> {
         run: Option<ContigRun>,
         via_eaf: bool,
     ) {
-        self.pending_resolve.remove(&(sm, svpn));
+        self.clear_pending(sm, svpn);
         self.send(
             now + WINDOW,
             Ev::ResolveSm { sm, svpn, ppn: ppn.0, pages, run, via_eaf },
@@ -1964,7 +2047,7 @@ impl<'a> SharedLane<'a> {
             }
             self.l2_tlb_mshr.recycle(waiters);
         }
-        self.drain_l2_tlb_overflow(now);
+        self.drain_l2_tlb_overflow(now, svpn);
     }
 
     fn charge_merge_refs(&mut self, now: Cycle) {
@@ -1980,11 +2063,46 @@ impl<'a> SharedLane<'a> {
         }
     }
 
-    fn drain_l2_tlb_overflow(&mut self, now: Cycle) {
-        let pending = std::mem::take(&mut self.l2_tlb_overflow);
-        for (sm, vpn) in pending {
-            self.l2_tlb_result(now, sm, vpn);
+    /// Retries the L2-TLB misses queued on a full MSHR file after a fill
+    /// of `filled` (which may also have freed a slot), with the outcome a
+    /// retry of every entry in queue order would have, charging
+    /// `l2_tlb_mshr_full` once per entry that stays queued.
+    ///
+    /// Only an entry whose outcome can differ from Full is re-evaluated
+    /// (DESIGN.md §5 gives the full argument):
+    /// - every entry, front to back, while the MSHR file has a free slot;
+    /// - entries in `filled`'s 2 MB chunk: the only pages a fill can
+    ///   newly cover ([`TlbModel::fill`]);
+    /// - entries for a page that an earlier entry left the queue for in
+    ///   this drain: it allocated (they merge) or hit (its marker
+    ///   cleared);
+    /// - entries whose page had a `pending_resolve` marker cleared since
+    ///   the last drain ([`Self::clear_pending`]).
+    ///
+    /// Any other entry would come back Full again with no side effect.
+    /// A non-empty queue sits on a full MSHR file that holds none of its
+    /// pages: slots free only in `resolve_translation` and `eaf_resolve`,
+    /// which drain at once, and a drain stops allocating once the file
+    /// fills. The L2 TLB changes only through those two fills and through
+    /// invalidations, which only remove. The skipped miss lookups only
+    /// advance the model's LRU clock, whose stamps are compared by order
+    /// alone, and skipping them keeps that order.
+    fn drain_l2_tlb_overflow(&mut self, now: Cycle, filled: u64) {
+        if self.l2_tlb_overflow.is_empty() {
+            return;
         }
+        // Taken for the drain: no entry queues during it (a drain never
+        // pushes), and the only marker changes it makes are for entries
+        // it evaluates, whose page the queue itself wakes.
+        let mut queue = std::mem::take(&mut self.l2_tlb_overflow);
+        queue.drain(!self.l2_tlb_mshr.is_full(), chunk_pages(filled), |svpn, &sm| {
+            match self.l2_tlb_lookup(now, sm, svpn) {
+                Some(MshrGrant::Full) => Retry::Full,
+                _ => Retry::Left { room: !self.l2_tlb_mshr.is_full() },
+            }
+        });
+        self.stats.l2_tlb_mshr_full += queue.len() as u64;
+        self.l2_tlb_overflow = queue;
     }
 
     /// Shared half of Early TLB Fill ([`Ev::EafResolve`]): installs the
@@ -1998,7 +2116,7 @@ impl<'a> SharedLane<'a> {
         self.l2_tlb.fill(&fill);
         // The origin resolved locally; retire its pending marker so a
         // later L2TlbResult doesn't double-deliver.
-        self.pending_resolve.remove(&(sm, svpn));
+        self.clear_pending(sm, svpn);
         // Release the shared translation machinery.
         if let Some(mut waiters) = self.l2_tlb_mshr.complete(svpn) {
             self.stats.eaf_releases += 1;
@@ -2034,7 +2152,7 @@ impl<'a> SharedLane<'a> {
                 }
             }
         }
-        self.drain_l2_tlb_overflow(now);
+        self.drain_l2_tlb_overflow(now, svpn);
     }
 
     /// Handles [`Ev::RapidResolve`]: the rapid validation-on-use verdict
@@ -2403,7 +2521,7 @@ impl<'a> Engine<'a> {
             accel,
             compression,
             l2_tlb_mshr: MshrFile::new(cfg.l2_tlb.mshr_entries),
-            l2_tlb_overflow: Vec::new(),
+            l2_tlb_overflow: OverflowQueue::default(),
             l2_mshr: MshrFile::new(cfg.l2_cache.mshr_entries),
             l2_mshr_overflow: std::collections::VecDeque::new(),
             walk_of_vpn: FxHashMap::default(),
@@ -2718,6 +2836,38 @@ impl<'a> Engine<'a> {
                 r.refs > 0,
                 "live request {id:?} is unreachable: no event or waiter references it"
             );
+        });
+
+        // The selective overflow drains are exact only if every
+        // non-empty queue sits on a full MSHR file that holds none of its
+        // queued pages, and no sleeping L2-TLB miss could progress: its
+        // marker is set and, where the model can answer without touching
+        // replacement state, its lookup misses.
+        for (li, q) in lane.tlb_overflow.iter().enumerate() {
+            let mshrs = &lane.l1_tlb_mshrs[li];
+            assert!(q.is_empty() || mshrs.is_full(), "SM {li}: L1-TLB overflow beside a free MSHR");
+            for &id in q {
+                let svpn = lane.svpn(id);
+                assert!(!mshrs.contains(svpn), "SM {li}: queued page {svpn} is in an L1-TLB MSHR");
+            }
+        }
+        let sh = &self.shared;
+        sh.l2_tlb_overflow.audit_invariants();
+        assert!(
+            sh.l2_tlb_overflow.is_empty() || sh.l2_tlb_mshr.is_full(),
+            "L2-TLB overflow beside a free MSHR"
+        );
+        sh.l2_tlb_overflow.for_each(|svpn, &sm, woken| {
+            assert!(!sh.l2_tlb_mshr.contains(svpn), "queued page {svpn} is in an L2-TLB MSHR");
+            if !woken {
+                assert!(
+                    sh.pending_resolve.contains(&(sm, svpn)),
+                    "sleeping L2-TLB miss ({sm}, {svpn}) lost its resolution marker"
+                );
+                if let Some(hit) = sh.l2_tlb.probe(Vpn(svpn)) {
+                    assert!(hit.is_none(), "sleeping L2-TLB miss ({sm}, {svpn}) would hit");
+                }
+            }
         });
 
         self.shared.q.audit_invariants();

@@ -224,9 +224,211 @@ impl<K: std::hash::Hash + Eq + Copy, W> MshrFile<K, W> {
     }
 }
 
+/// Outcome of re-evaluating one queued miss in [`OverflowQueue::drain`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Retry {
+    /// The MSHR file turned the miss away again: it keeps its place.
+    Full,
+    /// The miss left the queue (allocated, merged, resolved or dropped);
+    /// `room` says whether the MSHR file still has a free slot.
+    Left {
+        /// Whether the MSHR file has a free slot after this entry.
+        room: bool,
+    },
+}
+
+/// The misses an MSHR file turned away, in arrival order, each filed
+/// under the page it waits on.
+///
+/// A drain walks the queue front to back, like a retry of every entry,
+/// but re-evaluates an entry only when its outcome can differ from
+/// [`Retry::Full`]: while the file has room, every entry; after that,
+/// only entries on a page the drain was told about (a fill's reach), on
+/// a page woken since the last drain, or on a page that another entry
+/// left the queue for earlier in this drain. Skipped entries keep their
+/// place, so the re-evaluated ones run in exactly the order a
+/// retry-everything drain would reach them.
+#[derive(Debug, Clone)]
+pub struct OverflowQueue<T> {
+    /// Queued misses in arrival order, with the page each waits on.
+    entries: Vec<(u64, T)>,
+    /// Number of queued entries per page.
+    pages: crate::fxhash::FxHashMap<u64, u32>,
+    /// Pages woken since the last drain.
+    woken: Vec<u64>,
+}
+
+impl<T> Default for OverflowQueue<T> {
+    fn default() -> Self {
+        Self { entries: Vec::new(), pages: crate::fxhash::FxHashMap::default(), woken: Vec::new() }
+    }
+}
+
+impl<T: Copy> OverflowQueue<T> {
+    /// Number of queued entries.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether nothing is queued.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Appends a miss waiting on `page`.
+    pub fn push(&mut self, page: u64, entry: T) {
+        self.entries.push((page, entry));
+        *self.pages.entry(page).or_insert(0) += 1;
+    }
+
+    /// Marks `page`'s queued entries for re-evaluation at the next drain.
+    /// A no-op when nothing waits on `page`, so calling it on every state
+    /// change an entry's outcome depends on stays cheap.
+    pub fn wake(&mut self, page: u64) {
+        if self.pages.contains_key(&page) && !self.woken.contains(&page) {
+            self.woken.push(page);
+        }
+    }
+
+    /// Re-evaluates the entries whose outcome can have changed, in queue
+    /// order, with `retry(page, entry)`; entries it reports
+    /// [`Retry::Full`] keep their place. `room` says whether the MSHR
+    /// file has a free slot, and `reach` is the range of pages whose
+    /// state changed (empty if none).
+    pub fn drain(
+        &mut self,
+        room: bool,
+        reach: std::ops::Range<u64>,
+        mut retry: impl FnMut(u64, &T) -> Retry,
+    ) {
+        if !room && reach.is_empty() && self.woken.is_empty() {
+            return;
+        }
+        let mut room = room;
+        let woken = std::mem::take(&mut self.woken);
+        // Pages outside `reach` that an entry left the queue for: a later
+        // entry on the same page may now merge, or find its translation
+        // already delivered.
+        let mut left: Vec<u64> = Vec::new();
+        let pages = &mut self.pages;
+        self.entries.retain(|&(page, entry)| {
+            let due = room
+                || reach.contains(&page)
+                || woken.contains(&page)
+                || left.contains(&page);
+            if !due {
+                return true;
+            }
+            match retry(page, &entry) {
+                Retry::Full => true,
+                Retry::Left { room: r } => {
+                    room = r;
+                    if !reach.contains(&page) && !left.contains(&page) {
+                        left.push(page);
+                    }
+                    let n = pages.get_mut(&page).expect("queued page is counted");
+                    *n -= 1;
+                    if *n == 0 {
+                        pages.remove(&page);
+                    }
+                    false
+                }
+            }
+        });
+    }
+
+    /// Visits every entry in queue order with its page and whether the
+    /// page is woken (checked-mode audits).
+    pub fn for_each(&self, mut f: impl FnMut(u64, &T, bool)) {
+        for &(page, ref entry) in &self.entries {
+            f(page, entry, self.woken.contains(&page));
+        }
+    }
+
+    /// Asserts index consistency: the per-page counts match the queue,
+    /// and every woken page has a queued entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first violated invariant.
+    pub fn audit_invariants(&self) {
+        let mut counts: crate::fxhash::FxHashMap<u64, u32> = Default::default();
+        for &(page, _) in &self.entries {
+            *counts.entry(page).or_insert(0) += 1;
+        }
+        assert!(counts == self.pages, "overflow page counts disagree with the queue");
+        for page in &self.woken {
+            assert!(self.pages.contains_key(page), "woken overflow page {page} has no entry");
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Drains `q` against a toy MSHR file with `slots` free slots, in
+    /// which odd entries need a slot and even ones always progress;
+    /// returns the visit order.
+    fn drain_toy(
+        q: &mut OverflowQueue<u32>,
+        slots: usize,
+        reach: std::ops::Range<u64>,
+    ) -> Vec<u32> {
+        let mut visited = Vec::new();
+        let mut free = slots;
+        q.drain(free > 0, reach, |_, &e| {
+            visited.push(e);
+            if free == 0 && e % 2 == 1 {
+                return Retry::Full;
+            }
+            if e % 2 == 1 {
+                free -= 1;
+            }
+            Retry::Left { room: free > 0 }
+        });
+        visited
+    }
+
+    #[test]
+    fn overflow_queue_drains_in_order_and_skips_quiet_entries() {
+        let mut q: OverflowQueue<u32> = OverflowQueue::default();
+        // (page, entry)
+        for (page, e) in [(1, 11), (2, 21), (1, 12), (3, 31), (3, 30), (9, 40), (4, 43)] {
+            q.push(page, e);
+        }
+        // One slot: 11 takes it; after that only page 1 (which 11 left
+        // for) and the reach (page 3) are due.
+        assert_eq!(drain_toy(&mut q, 1, 3..4), vec![11, 12, 31, 30]);
+        assert_eq!(q.len(), 4);
+        // No room, no reach, nothing woken: nothing is visited.
+        assert_eq!(drain_toy(&mut q, 0, 0..0), Vec::<u32>::new());
+        // A woken page is visited once, at the next drain only.
+        q.wake(9);
+        q.wake(7); // nothing waits on page 7: a no-op
+        let mut woken = Vec::new();
+        q.for_each(|page, _, w| woken.push((page, w)));
+        assert_eq!(woken, vec![(2, false), (3, false), (9, true), (4, false)]);
+        assert_eq!(drain_toy(&mut q, 0, 0..0), vec![40]);
+        assert_eq!(drain_toy(&mut q, 0, 0..0), Vec::<u32>::new());
+        let mut left = Vec::new();
+        q.for_each(|page, &e, _| left.push((page, e)));
+        assert_eq!(left, vec![(2, 21), (3, 31), (4, 43)]);
+        q.audit_invariants();
+    }
+
+    #[test]
+    fn overflow_queue_room_visits_everything_front_to_back() {
+        let mut q: OverflowQueue<u32> = OverflowQueue::default();
+        for e in [2u32, 4, 5, 6, 7] {
+            q.push(u64::from(e), e);
+        }
+        // 5 takes the only slot; 6 and 7 then sleep although 6 could
+        // progress: nothing woke page 6.
+        assert_eq!(drain_toy(&mut q, 1, 0..0), vec![2, 4, 5]);
+        assert_eq!(q.len(), 2);
+        q.audit_invariants();
+    }
 
     #[test]
     fn ports_limit_starts_per_cycle() {

@@ -89,6 +89,12 @@ impl TlbHit {
 /// run engines on worker threads.
 pub trait TlbModel: std::fmt::Debug + Send {
     /// Looks up a page, updating replacement state.
+    ///
+    /// Contract: a lookup that misses changes nothing observable. It may
+    /// advance an LRU clock, but replacement compares stamps by order
+    /// alone, so skipping a missing lookup leaves every later result the
+    /// same. The engine relies on this to leave overflowed L2-TLB misses
+    /// unprobed while they cannot hit.
     fn lookup(&mut self, vpn: Vpn) -> Option<TlbHit>;
 
     /// Whether [`TlbModel::lookup`] would hit for `vpn`, without touching
@@ -102,6 +108,14 @@ pub trait TlbModel: std::fmt::Debug + Send {
     }
 
     /// Installs a translation.
+    ///
+    /// Contract: a fill may newly cover only pages in the filled page's
+    /// 2 MB chunk (`fill.vpn` rounded down to [`PAGES_PER_CHUNK`]); pages
+    /// outside it can only lose coverage (to eviction). The base-page and
+    /// 2 MB arrays align within the chunk, CoLT clamps to its 16-page PTE
+    /// line and SnakeByte's buddy merges stop at a whole chunk. The
+    /// engine relies on this to wake only the overflowed L2-TLB misses in
+    /// a fill's chunk.
     fn fill(&mut self, fill: &TlbFill);
 
     /// Installs a translation with a replacement-priority hint. The

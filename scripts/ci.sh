@@ -95,6 +95,10 @@ cargo test -q -p avatar-sim -p avatar-core
 echo "== checked-mode invariants (audits + negative tests) =="
 cargo test -q -p avatar-sim --features invariants
 cargo test -q -p avatar-sim --features invariants,probes
+# The selective TLB overflow drains (DESIGN.md §5 item 7) under frequent
+# audits: every sleeping queued miss must be provably stuck.
+AVATAR_INVARIANT_INTERVAL=256 cargo test --release -q -p avatar-core --features invariants \
+    --test overflow_parity
 
 echo "== observability differential + conservation gate (release) =="
 # Attaching a probe sink must change no simulated statistic, and the
