@@ -6,8 +6,8 @@
 
 use avatar_bench::json::Json;
 use avatar_bench::runner::{run_scenarios, Scenario};
-use avatar_bench::{obj, print_table, ExtraFlag, HarnessArgs};
-use avatar_core::system::{speedup, SystemConfig};
+use avatar_bench::{obj, print_table, policy_set, ExtraFlag, HarnessArgs};
+use avatar_core::system::speedup;
 use avatar_sim::config::CacheArrangement;
 use avatar_sim::Stats;
 use avatar_workloads::Workload;
@@ -31,48 +31,47 @@ fn main() {
         std::process::exit(1);
     });
     let ro = opts.run_options();
+    let [baseline, cast, avatar_noeaf, avatar] = policy_set("baseline,cast,avatar-noeaf,avatar");
 
     // The whole study is one flat grid of independent cells; every sweep
     // variant is a tweak on top of the Avatar configuration.
-    let mut scenarios = vec![Scenario::new("Baseline", &w, SystemConfig::Baseline, ro.clone())];
-    for (variant, cfg) in [
-        ("CAST only", SystemConfig::CastOnly),
-        ("CAST+CAVA (no EAF)", SystemConfig::AvatarNoEaf),
-        ("full Avatar", SystemConfig::Avatar),
-    ] {
-        scenarios.push(Scenario::new(variant, &w, cfg, ro.clone()));
+    let mut scenarios = vec![Scenario::new("Baseline", &w, baseline, ro.clone())];
+    for (variant, policy) in
+        [("CAST only", cast), ("CAST+CAVA (no EAF)", avatar_noeaf), ("full Avatar", avatar)]
+    {
+        scenarios.push(Scenario::new(variant, &w, policy, ro.clone()));
     }
     for entries in MOD_ENTRIES {
         scenarios.push(
-            Scenario::new(format!("mod-{entries}"), &w, SystemConfig::Avatar, ro.clone())
+            Scenario::new(format!("mod-{entries}"), &w, avatar, ro.clone())
                 .with_tweak(move |c| c.spec.mod_entries = entries),
         );
     }
     for threshold in THRESHOLDS {
         scenarios.push(
-            Scenario::new(format!("thr-{threshold}"), &w, SystemConfig::Avatar, ro.clone())
+            Scenario::new(format!("thr-{threshold}"), &w, avatar, ro.clone())
                 .with_tweak(move |c| c.spec.confidence_threshold = threshold),
         );
     }
     for lat in DECOMP_LATENCIES {
         scenarios.push(
-            Scenario::new(format!("decomp-{lat}"), &w, SystemConfig::Avatar, ro.clone())
+            Scenario::new(format!("decomp-{lat}"), &w, avatar, ro.clone())
                 .with_tweak(move |c| c.spec.decompression_latency = lat),
         );
     }
     for threshold in MIGRATE_THRESHOLDS {
         scenarios.push(
-            Scenario::new(format!("migrate-{threshold}"), &w, SystemConfig::Avatar, ro.clone())
+            Scenario::new(format!("migrate-{threshold}"), &w, avatar, ro.clone())
                 .with_tweak(move |c| c.uvm.migration_threshold = threshold),
         );
     }
     for (name, arr) in ARRANGEMENTS {
         scenarios.push(
-            Scenario::new(format!("{name}-avatar"), &w, SystemConfig::Avatar, ro.clone())
+            Scenario::new(format!("{name}-avatar"), &w, avatar, ro.clone())
                 .with_tweak(move |c| c.l1_arrangement = arr),
         );
         scenarios.push(
-            Scenario::new(format!("{name}-base"), &w, SystemConfig::Baseline, ro.clone())
+            Scenario::new(format!("{name}-base"), &w, baseline, ro.clone())
                 .with_tweak(move |c| c.l1_arrangement = arr),
         );
     }

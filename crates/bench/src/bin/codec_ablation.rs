@@ -7,14 +7,15 @@
 
 use avatar_bench::json::Json;
 use avatar_bench::runner::{run_scenarios, Scenario};
-use avatar_bench::{geomean, mean, obj, print_table, HarnessArgs};
-use avatar_core::system::{speedup, RunOptions, SystemConfig};
+use avatar_bench::{geomean, mean, obj, print_table, policy_set, HarnessArgs};
+use avatar_core::system::{speedup, RunOptions};
 use avatar_workloads::{ContentModel, Workload};
 
 const SAMPLE_WORKLOADS: [&str; 5] = ["GEMM", "PAF", "GC", "SSSP", "XSB"];
 
 fn main() {
     let opts = HarnessArgs::parse();
+    let [baseline, avatar] = policy_set("baseline,avatar");
 
     // codec × workload × {Baseline, Avatar}: one flat grid.
     let mut scenarios = Vec::new();
@@ -28,8 +29,8 @@ fn main() {
                 warps: Some(opts.warps),
                 ..RunOptions::default()
             };
-            scenarios.push(Scenario::new("Baseline", &w, SystemConfig::Baseline, ro.clone()));
-            scenarios.push(Scenario::new("Avatar", &w, SystemConfig::Avatar, ro));
+            scenarios.push(Scenario::new("Baseline", &w, baseline, ro.clone()));
+            scenarios.push(Scenario::new("Avatar", &w, avatar, ro));
         }
     }
     let results = run_scenarios(opts.threads, scenarios);

@@ -6,19 +6,19 @@
 
 use avatar_bench::json::Json;
 use avatar_bench::runner::{run_scenarios, Scenario};
-use avatar_bench::{geomean, mean, obj, print_table, HarnessArgs};
-use avatar_core::system::SystemConfig;
+use avatar_bench::{geomean, mean, obj, print_table, policy_set, HarnessArgs};
 use avatar_workloads::Workload;
 
 fn main() {
     let opts = HarnessArgs::parse();
     let ro = opts.run_options();
     let workloads = Workload::all();
+    let [baseline, ideal] = policy_set("baseline,ideal");
 
     let mut scenarios = Vec::new();
     for w in &workloads {
-        scenarios.push(Scenario::new("Baseline", w, SystemConfig::Baseline, ro.clone()));
-        scenarios.push(Scenario::new("IdealTLB", w, SystemConfig::IdealTlb, ro.clone()));
+        scenarios.push(Scenario::new("Baseline", w, baseline, ro.clone()));
+        scenarios.push(Scenario::new("IdealTLB", w, ideal, ro.clone()));
     }
     let results = run_scenarios(opts.threads, scenarios);
 

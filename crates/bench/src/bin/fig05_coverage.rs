@@ -9,8 +9,8 @@
 
 use avatar_bench::json::Json;
 use avatar_bench::runner::{run_scenarios, Scenario, ScenarioResult};
-use avatar_bench::{obj, print_table, HarnessArgs};
-use avatar_core::system::{RunOptions, SystemConfig};
+use avatar_bench::{obj, print_table, policy_set, HarnessArgs};
+use avatar_core::system::RunOptions;
 use avatar_sim::stats::CoverageBucket;
 use avatar_workloads::{Class, Workload};
 
@@ -35,8 +35,9 @@ fn coverage_fractions(results: &[ScenarioResult]) -> [f64; 5] {
 fn main() {
     let opts = HarnessArgs::parse();
     let class_h: Vec<Workload> = Workload::all().into_iter().filter(|w| w.class == Class::H).collect();
+    let [colt] = policy_set("colt");
     let scenarios_of = |ro: &RunOptions| -> Vec<Scenario> {
-        class_h.iter().map(|w| Scenario::new(w.abbr, w, SystemConfig::Colt, ro.clone())).collect()
+        class_h.iter().map(|w| Scenario::new(w.abbr, w, colt, ro.clone())).collect()
     };
 
     // Three oversubscription regimes × class-H workloads, one flat grid.

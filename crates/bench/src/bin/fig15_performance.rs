@@ -5,23 +5,22 @@
 //! Avatar beats Promotion by 14.9%, CoLT by 10.1%, SnakeByte by 16.3%;
 //! CAST+Ideal-Valid exceeds Avatar by 5.8%.
 //!
-//! `--policies` swaps the paper's Fig-15 column set for any registry
-//! selections (e.g. `--policies "avatar,revelator,avatar+dead"`); the
-//! default run is byte-identical to the enum-era output.
+//! `--policies` swaps the paper's Fig-15 column set
+//! ([`avatar_core::policy::FIG15`]) for any registry selections (e.g.
+//! `--policies "avatar,revelator,avatar+dead"`).
 
 use avatar_bench::json::Json;
 use avatar_bench::runner::{fmt_cell, run_scenarios, speedup_cell, Scenario};
-use avatar_bench::{geomean, obj, print_table, HarnessArgs};
-use avatar_core::policy::PolicySelection;
-use avatar_core::system::SystemConfig;
+use avatar_bench::{geomean, obj, print_table, HarnessArgs, POLICY_FLAGS};
+use avatar_core::policy::{PolicySelection, FIG15};
 use avatar_workloads::Workload;
 
 fn main() {
-    let opts = HarnessArgs::parse();
+    let opts = HarnessArgs::parse_with(&POLICY_FLAGS);
     let ro = opts.run_options();
     let selections: Vec<PolicySelection> = match opts.policies() {
         Some(sels) => sels.to_vec(),
-        None => SystemConfig::FIG15.iter().map(|c| c.selection()).collect(),
+        None => PolicySelection::parse_list(FIG15).expect("Fig 15 set is valid"),
     };
     let labels: Vec<String> = selections.iter().map(|s| s.label()).collect();
     let baseline = PolicySelection::parse("baseline").expect("baseline is in the registry");

@@ -6,20 +6,20 @@
 
 use avatar_bench::json::Json;
 use avatar_bench::runner::{run_scenarios, Scenario};
-use avatar_bench::{mean, obj, print_table, HarnessArgs};
-use avatar_core::system::SystemConfig;
+use avatar_bench::{mean, obj, print_table, policy_set, HarnessArgs};
 use avatar_workloads::{Class, Workload};
 
 fn main() {
     let opts = HarnessArgs::parse();
     let ro = opts.run_options();
     let workloads = Workload::all();
+    let policies: [_; 3] = policy_set("baseline,promotion,avatar");
 
     let mut scenarios = Vec::new();
     for w in &workloads {
-        scenarios.push(Scenario::new("Baseline", w, SystemConfig::Baseline, ro.clone()));
-        scenarios.push(Scenario::new("Promotion", w, SystemConfig::Promotion, ro.clone()));
-        scenarios.push(Scenario::new("Avatar", w, SystemConfig::Avatar, ro.clone()));
+        for p in policies {
+            scenarios.push(Scenario::new(p.label(), w, p, ro.clone()));
+        }
     }
     let results = run_scenarios(opts.threads, scenarios);
 

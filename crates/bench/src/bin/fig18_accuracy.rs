@@ -5,18 +5,18 @@
 
 use avatar_bench::json::Json;
 use avatar_bench::runner::{run_scenarios, Scenario};
-use avatar_bench::{mean, obj, print_table, HarnessArgs};
-use avatar_core::system::SystemConfig;
+use avatar_bench::{mean, obj, print_table, policy_set, HarnessArgs};
 use avatar_workloads::Workload;
 
 fn main() {
     let opts = HarnessArgs::parse();
     let ro = opts.run_options();
     let workloads = Workload::all();
+    let [avatar] = policy_set("avatar");
 
     let scenarios: Vec<Scenario> = workloads
         .iter()
-        .map(|w| Scenario::new(w.abbr, w, SystemConfig::Avatar, ro.clone()))
+        .map(|w| Scenario::new(w.abbr, w, avatar, ro.clone()))
         .collect();
     let results = run_scenarios(opts.threads, scenarios);
 

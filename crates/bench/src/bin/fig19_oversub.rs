@@ -8,8 +8,8 @@
 
 use avatar_bench::json::Json;
 use avatar_bench::runner::{fmt_cell, run_scenarios, speedup_cell, Scenario};
-use avatar_bench::{geomean, obj, print_table, HarnessArgs};
-use avatar_core::system::{RunOptions, SystemConfig};
+use avatar_bench::{geomean, obj, print_table, policy_set, HarnessArgs};
+use avatar_core::system::RunOptions;
 use avatar_workloads::Workload;
 
 const EXCLUDED: [&str; 3] = ["LMD", "FW", "GEMM"];
@@ -17,18 +17,14 @@ const EXCLUDED: [&str; 3] = ["LMD", "FW", "GEMM"];
 fn main() {
     let opts = HarnessArgs::parse();
     let ro = RunOptions { oversubscription: Some(1.3), ..opts.run_options() };
-    let configs = [
-        SystemConfig::Promotion,
-        SystemConfig::Colt,
-        SystemConfig::SnakeByte,
-        SystemConfig::Avatar,
-    ];
+    let [baseline, configs @ ..] = policy_set::<5>("baseline,promotion,colt,snakebyte,avatar");
+    let labels = configs.map(|p| p.label());
     let workloads: Vec<Workload> =
         Workload::all().into_iter().filter(|w| !EXCLUDED.contains(&w.abbr)).collect();
 
     let mut scenarios = Vec::new();
     for w in &workloads {
-        scenarios.push(Scenario::new("Baseline", w, SystemConfig::Baseline, ro.clone()));
+        scenarios.push(Scenario::new("Baseline", w, baseline, ro.clone()));
         for cfg in configs {
             scenarios.push(Scenario::new(cfg.label(), w, cfg, ro.clone()));
         }
@@ -44,13 +40,13 @@ fn main() {
         let base = &results[wi * stride];
         let mut cells = vec![w.abbr.to_string()];
         let mut speedups = Vec::new();
-        for (i, cfg) in configs.iter().enumerate() {
+        for (i, label) in labels.iter().enumerate() {
             let x = speedup_cell(base, &results[wi * stride + 1 + i]);
             if let Some(x) = x {
                 per_config[i].push(x);
             }
             cells.push(fmt_cell(x, 3));
-            speedups.push(obj! { "config": cfg.label(), "speedup": x });
+            speedups.push(obj! { "config": label.clone(), "speedup": x });
         }
         let evictions = base.stats.as_ref().map(|s| s.chunks_evicted).unwrap_or(0);
         cells.push(evictions.to_string());
@@ -70,7 +66,7 @@ fn main() {
     rows.push(gmean);
 
     let mut headers = vec!["Workload"];
-    headers.extend(configs.iter().map(|c| c.label()));
+    headers.extend(labels.iter().map(String::as_str));
     headers.push("Evictions(base)");
     println!("\nFig 19: speedup over baseline under 130% oversubscription");
     print_table(&headers, &rows);

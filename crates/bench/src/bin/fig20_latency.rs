@@ -8,24 +8,16 @@
 
 use avatar_bench::json::Json;
 use avatar_bench::runner::{run_scenarios, Scenario, ScenarioResult};
-use avatar_bench::{mean, obj, print_table, HarnessArgs};
-use avatar_core::system::{RunOptions, SystemConfig};
+use avatar_bench::{mean, obj, print_table, policy_set, HarnessArgs};
+use avatar_core::system::RunOptions;
 use avatar_workloads::{Class, Workload};
 
-const CONFIGS: [SystemConfig; 5] = [
-    SystemConfig::Baseline,
-    SystemConfig::Promotion,
-    SystemConfig::Colt,
-    SystemConfig::SnakeByte,
-    SystemConfig::Avatar,
-];
-
 /// (mean, p99) per configuration, averaged over the class-H workloads.
-fn summarize(results: &[ScenarioResult], n_workloads: usize) -> Vec<(f64, f64)> {
-    let mut per_config = vec![(Vec::new(), Vec::new()); CONFIGS.len()];
+fn summarize(results: &[ScenarioResult], n_workloads: usize, n_configs: usize) -> Vec<(f64, f64)> {
+    let mut per_config = vec![(Vec::new(), Vec::new()); n_configs];
     for wi in 0..n_workloads {
-        for i in 0..CONFIGS.len() {
-            let s = results[wi * CONFIGS.len() + i].expect_stats();
+        for i in 0..n_configs {
+            let s = results[wi * n_configs + i].expect_stats();
             per_config[i].0.push(s.sector_latency.value());
             per_config[i].1.push(s.sector_latency_hist.percentile(0.99) as f64);
         }
@@ -36,6 +28,8 @@ fn summarize(results: &[ScenarioResult], n_workloads: usize) -> Vec<(f64, f64)> 
 fn main() {
     let opts = HarnessArgs::parse();
     let class_h: Vec<Workload> = Workload::all().into_iter().filter(|w| w.class == Class::H).collect();
+    let configs: [_; 5] = policy_set("baseline,promotion,colt,snakebyte,avatar");
+    let labels = configs.map(|p| p.label());
     let regimes = [
         ("(a) no oversubscription", "normal", opts.run_options()),
         (
@@ -48,34 +42,38 @@ fn main() {
     let mut scenarios = Vec::new();
     for (_, _, ro) in &regimes {
         for w in &class_h {
-            for cfg in CONFIGS {
+            for cfg in configs {
                 scenarios.push(Scenario::new(cfg.label(), w, cfg, ro.clone()));
             }
         }
     }
     let results = run_scenarios(opts.threads, scenarios);
-    let per_regime = class_h.len() * CONFIGS.len();
+    let per_regime = class_h.len() * configs.len();
 
     let mut rows = Vec::new();
     let mut json: Vec<Json> = Vec::new();
     for (ri, (label, key, _)) in regimes.iter().enumerate() {
-        let data = summarize(&results[ri * per_regime..(ri + 1) * per_regime], class_h.len());
+        let data = summarize(
+            &results[ri * per_regime..(ri + 1) * per_regime],
+            class_h.len(),
+            configs.len(),
+        );
         let mut cells = vec![label.to_string()];
         cells.extend(data.iter().map(|(m, p)| format!("{m:.0} (p99 {p:.0})")));
         rows.push(cells);
-        let latencies: Vec<Json> = CONFIGS
+        let latencies: Vec<Json> = labels
             .iter()
             .zip(data.iter())
-            .map(|(c, (m, _))| obj! { "config": c.label(), "latency": *m })
+            .map(|(label, (m, _))| obj! { "config": label.clone(), "latency": *m })
             .collect();
         json.push(obj! { "scenario": *key, "latencies": Json::Arr(latencies) });
     }
 
     let mut headers = vec!["Scenario"];
-    headers.extend(CONFIGS.iter().map(|c| c.label()));
+    headers.extend(labels.iter().map(String::as_str));
     println!("\nFig 20: mean memory access latency, class-H workloads (cycles)");
     print_table(&headers, &rows);
-    print_breakdown(&results[..per_regime], &class_h);
+    print_breakdown(&results[..per_regime], &class_h, &labels);
     println!("\npaper: Avatar lowest in both scenarios; prior techniques degrade more under oversubscription");
     opts.dump_json(&json);
 }
@@ -85,18 +83,18 @@ fn main() {
 /// invariant — phase sums equal the end-to-end sector latency sum exactly
 /// — re-verified on every cell before anything is printed.
 #[cfg(feature = "probes")]
-fn print_breakdown(results: &[ScenarioResult], class_h: &[Workload]) {
+fn print_breakdown(results: &[ScenarioResult], class_h: &[Workload], labels: &[String]) {
     use avatar_sim::probe::{LatencyBreakdown, Phase};
     let mut rows = Vec::new();
-    for (ci, cfg) in CONFIGS.iter().enumerate() {
+    for (ci, label) in labels.iter().enumerate() {
         let mut agg = LatencyBreakdown::default();
         for wi in 0..class_h.len() {
-            let s = results[wi * CONFIGS.len() + ci].expect_stats();
+            let s = results[wi * labels.len() + ci].expect_stats();
             assert_eq!(
                 s.latency_breakdown.total_cycles(),
                 s.sector_latency.sum(),
                 "fig20 {} / {}: latency breakdown violates cycle conservation",
-                cfg.label(),
+                label,
                 class_h[wi].abbr,
             );
             for ph in Phase::ALL {
@@ -104,7 +102,7 @@ fn print_breakdown(results: &[ScenarioResult], class_h: &[Workload]) {
             }
             agg.sectors += s.latency_breakdown.sectors;
         }
-        let mut cells = vec![cfg.label().to_string()];
+        let mut cells = vec![label.clone()];
         cells.extend(Phase::ALL.iter().map(|&ph| format!("{:.1}%", 100.0 * agg.fraction(ph))));
         rows.push(cells);
     }
@@ -117,4 +115,4 @@ fn print_breakdown(results: &[ScenarioResult], class_h: &[Workload]) {
 
 /// Probes compiled out: the breakdown fields are all zero; print nothing.
 #[cfg(not(feature = "probes"))]
-fn print_breakdown(_results: &[ScenarioResult], _class_h: &[Workload]) {}
+fn print_breakdown(_results: &[ScenarioResult], _class_h: &[Workload], _labels: &[String]) {}

@@ -6,20 +6,21 @@
 
 use avatar_bench::json::Json;
 use avatar_bench::runner::{run_scenarios, Scenario};
-use avatar_bench::{geomean, mean, obj, print_table, HarnessArgs};
-use avatar_core::system::{speedup, SystemConfig};
+use avatar_bench::{geomean, mean, obj, print_table, policy_set, HarnessArgs};
+use avatar_core::system::speedup;
 use avatar_workloads::Workload;
 
 fn main() {
     let opts = HarnessArgs::parse();
     let ro = opts.run_options();
     let workloads = Workload::all();
+    let [baseline, mod_avatar, vpnt_avatar] = policy_set("baseline,avatar,avatar-vpnt");
 
     let mut scenarios = Vec::new();
     for w in &workloads {
-        scenarios.push(Scenario::new("Baseline", w, SystemConfig::Baseline, ro.clone()));
-        scenarios.push(Scenario::new("MOD", w, SystemConfig::Avatar, ro.clone()));
-        scenarios.push(Scenario::new("VPN-T", w, SystemConfig::AvatarVpnT, ro.clone()));
+        scenarios.push(Scenario::new("Baseline", w, baseline, ro.clone()));
+        scenarios.push(Scenario::new("MOD", w, mod_avatar, ro.clone()));
+        scenarios.push(Scenario::new("VPN-T", w, vpnt_avatar, ro.clone()));
     }
     let results = run_scenarios(opts.threads, scenarios);
 

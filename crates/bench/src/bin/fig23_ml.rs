@@ -7,17 +7,9 @@
 
 use avatar_bench::json::Json;
 use avatar_bench::runner::{fmt_cell, run_scenarios, speedup_cell, Scenario};
-use avatar_bench::{geomean, mean, obj, print_table, HarnessArgs};
+use avatar_bench::{geomean, mean, obj, print_table, policy_set, HarnessArgs};
 use avatar_bpc::embed::PAYLOAD_BITS;
-use avatar_core::system::SystemConfig;
 use avatar_workloads::Workload;
-
-const CONFIGS: [SystemConfig; 4] = [
-    SystemConfig::Promotion,
-    SystemConfig::Colt,
-    SystemConfig::CastOnly,
-    SystemConfig::Avatar,
-];
 
 /// (a) compressibility, measured with the real codec.
 fn compressibility(w: &Workload, samples: u64) -> (f64, f64) {
@@ -39,20 +31,22 @@ fn main() {
     let ro = opts.run_options();
     let samples = 20_000u64;
     let workloads = Workload::ml_suite();
+    let [baseline, configs @ ..] = policy_set::<5>("baseline,promotion,colt,cast,avatar");
+    let labels = configs.map(|p| p.label());
 
     let mut scenarios = Vec::new();
     for w in &workloads {
-        scenarios.push(Scenario::new("Baseline", w, SystemConfig::Baseline, ro.clone()));
-        for cfg in CONFIGS {
+        scenarios.push(Scenario::new("Baseline", w, baseline, ro.clone()));
+        for cfg in configs {
             scenarios.push(Scenario::new(cfg.label(), w, cfg, ro.clone()));
         }
     }
     let results = run_scenarios(opts.threads, scenarios);
-    let stride = CONFIGS.len() + 1;
+    let stride = configs.len() + 1;
 
     let mut rows = Vec::new();
     let mut json_rows: Vec<Json> = Vec::new();
-    let mut per_config: Vec<Vec<f64>> = vec![Vec::new(); CONFIGS.len()];
+    let mut per_config: Vec<Vec<f64>> = vec![Vec::new(); configs.len()];
     let (mut ratios, mut fits) = (Vec::new(), Vec::new());
 
     for (wi, w) in workloads.iter().enumerate() {
@@ -68,13 +62,13 @@ fn main() {
             format!("{:.1}%", fit22 * 100.0),
         ];
         let mut speedups = Vec::new();
-        for (i, cfg) in CONFIGS.iter().enumerate() {
+        for (i, label) in labels.iter().enumerate() {
             let x = speedup_cell(base, &results[wi * stride + 1 + i]);
             if let Some(x) = x {
                 per_config[i].push(x);
             }
             cells.push(fmt_cell(x, 3));
-            speedups.push(obj! { "config": cfg.label(), "speedup": x });
+            speedups.push(obj! { "config": label.clone(), "speedup": x });
         }
         json_rows.push(obj! {
             "workload": w.abbr,
@@ -96,7 +90,7 @@ fn main() {
     rows.push(footer);
 
     let mut headers = vec!["Workload", "BPC ratio", "<=22B"];
-    headers.extend(CONFIGS.iter().map(|c| c.label()));
+    headers.extend(labels.iter().map(String::as_str));
     println!("\nFig 23: ML workloads — compressibility and speedup over baseline");
     print_table(&headers, &rows);
     println!("\npaper: ratio 1.38x avg, 28.4% fit 22B; Avatar beats CoLT by ~7.1% despite low compressibility");

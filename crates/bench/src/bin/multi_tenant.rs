@@ -7,12 +7,13 @@
 
 use avatar_bench::json::Json;
 use avatar_bench::runner::{run_scenarios, Scenario};
-use avatar_bench::{obj, print_table, HarnessArgs};
-use avatar_core::system::{speedup, RunOptions, SystemConfig};
+use avatar_bench::{obj, print_table, policy_set, HarnessArgs};
+use avatar_core::system::{speedup, RunOptions};
 use avatar_workloads::Workload;
 
 fn main() {
     let opts = HarnessArgs::parse();
+    let [baseline, avatar] = policy_set("baseline,avatar");
     let grid: Vec<(&str, usize)> = ["GEMM", "PAF", "SSSP", "XSB"]
         .into_iter()
         .flat_map(|abbr| [(abbr, 1usize), (abbr, 2)])
@@ -28,8 +29,8 @@ fn main() {
             warps: Some(opts.warps),
             ..RunOptions::default()
         };
-        scenarios.push(Scenario::new("Baseline", &w, SystemConfig::Baseline, ro.clone()));
-        scenarios.push(Scenario::new("Avatar", &w, SystemConfig::Avatar, ro));
+        scenarios.push(Scenario::new("Baseline", &w, baseline, ro.clone()));
+        scenarios.push(Scenario::new("Avatar", &w, avatar, ro));
     }
     let results = run_scenarios(opts.threads, scenarios);
 

@@ -15,7 +15,7 @@
 
 use avatar_bench::json::Json;
 use avatar_bench::runner::{fmt_cell, run_scenarios, speedup_cell, Scenario};
-use avatar_bench::{geomean, obj, print_table, HarnessArgs};
+use avatar_bench::{geomean, obj, print_table, HarnessArgs, POLICY_FLAGS};
 use avatar_core::policy::PolicySelection;
 use avatar_workloads::Workload;
 
@@ -25,7 +25,7 @@ use avatar_workloads::Workload;
 const DEFAULT_SET: &str = "baseline,colt,snakebyte,avatar,revelator,avatar+dead";
 
 fn main() {
-    let opts = HarnessArgs::parse();
+    let opts = HarnessArgs::parse_with(&POLICY_FLAGS);
     let ro = opts.run_options();
     let selections: Vec<PolicySelection> = match opts.policies() {
         Some(sels) => sels.to_vec(),

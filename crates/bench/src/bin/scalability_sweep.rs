@@ -9,16 +9,9 @@
 
 use avatar_bench::json::Json;
 use avatar_bench::runner::{fmt_cell, run_scenarios, speedup_cell, Scenario};
-use avatar_bench::{obj, print_table, ExtraFlag, HarnessArgs};
-use avatar_core::system::{RunOptions, SystemConfig};
+use avatar_bench::{obj, print_table, policy_set, ExtraFlag, HarnessArgs};
+use avatar_core::system::RunOptions;
 use avatar_workloads::Workload;
-
-const CONFIGS: [SystemConfig; 4] = [
-    SystemConfig::Promotion,
-    SystemConfig::Colt,
-    SystemConfig::SnakeByte,
-    SystemConfig::Avatar,
-];
 
 const SCALES: [f64; 6] = [0.03125, 0.0625, 0.125, 0.25, 0.5, 1.0];
 
@@ -33,6 +26,8 @@ fn main() {
         eprintln!("unknown workload {abbr}");
         std::process::exit(1);
     });
+    let [baseline, configs @ ..] = policy_set::<5>("baseline,promotion,colt,snakebyte,avatar");
+    let labels = configs.map(|p| p.label());
 
     let mut scenarios = Vec::new();
     for scale in SCALES {
@@ -42,13 +37,13 @@ fn main() {
             warps: Some(opts.warps),
             ..RunOptions::default()
         };
-        scenarios.push(Scenario::new("Baseline", &w, SystemConfig::Baseline, ro.clone()));
-        for cfg in CONFIGS {
+        scenarios.push(Scenario::new("Baseline", &w, baseline, ro.clone()));
+        for cfg in configs {
             scenarios.push(Scenario::new(cfg.label(), &w, cfg, ro.clone()));
         }
     }
     let results = run_scenarios(opts.threads, scenarios);
-    let stride = CONFIGS.len() + 1;
+    let stride = configs.len() + 1;
 
     let mut rows = Vec::new();
     let mut json: Vec<Json> = Vec::new();
@@ -57,17 +52,17 @@ fn main() {
         let base = &results[si * stride];
         let mut cells = vec![format!("{ws_mb}MB")];
         let mut speedups = Vec::new();
-        for (i, cfg) in CONFIGS.iter().enumerate() {
+        for (i, label) in labels.iter().enumerate() {
             let x = speedup_cell(base, &results[si * stride + 1 + i]);
             cells.push(fmt_cell(x, 3));
-            speedups.push(obj! { "config": cfg.label(), "speedup": x });
+            speedups.push(obj! { "config": label.clone(), "speedup": x });
         }
         rows.push(cells);
         json.push(obj! { "working_set_mb": ws_mb, "speedups": Json::Arr(speedups) });
     }
 
     let mut headers = vec!["Working set"];
-    headers.extend(CONFIGS.iter().map(|c| c.label()));
+    headers.extend(labels.iter().map(String::as_str));
     println!("\nScalability sweep: {} footprint vs technique speedup", w.abbr);
     print_table(&headers, &rows);
     println!("\nTable I claim: reach-bound techniques flatten as the footprint outgrows TLB reach; Avatar keeps scaling.");

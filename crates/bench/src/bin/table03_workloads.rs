@@ -6,8 +6,7 @@
 
 use avatar_bench::json::Json;
 use avatar_bench::runner::{run_scenarios, Scenario};
-use avatar_bench::{obj, print_table, ExtraFlag, HarnessArgs};
-use avatar_core::system::SystemConfig;
+use avatar_bench::{obj, print_table, policy_set, ExtraFlag, HarnessArgs};
 use avatar_workloads::Workload;
 
 fn main() {
@@ -21,9 +20,10 @@ fn main() {
     let workloads = Workload::all();
 
     let mpmis: Vec<Option<f64>> = if measure {
+        let [baseline] = policy_set("baseline");
         let scenarios: Vec<Scenario> = workloads
             .iter()
-            .map(|w| Scenario::new(w.abbr, w, SystemConfig::Baseline, ro.clone()))
+            .map(|w| Scenario::new(w.abbr, w, baseline, ro.clone()))
             .collect();
         run_scenarios(opts.threads, scenarios)
             .iter()

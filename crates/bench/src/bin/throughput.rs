@@ -27,15 +27,13 @@
 //! — from disk or a prior pass — would be reported as impossible speed.
 
 use avatar_bench::runner::{run_scenarios, Scenario, ScenarioResult};
-use avatar_bench::{obj, print_table, HarnessArgs};
-use avatar_core::system::SystemConfig;
+use avatar_bench::{obj, print_table, policy_set, HarnessArgs};
 use avatar_workloads::Workload;
 use std::path::PathBuf;
 use std::sync::Arc;
 // Wall-time measurement is this harness's whole job. lint:allow(nondeterminism)
 use std::time::Instant;
 
-const CONFIGS: [SystemConfig; 2] = [SystemConfig::Baseline, SystemConfig::Avatar];
 
 /// Thread counts measured, in order. The first entry must be 1: it is the
 /// scaling denominator and the events/sec measurement pass.
@@ -49,10 +47,11 @@ const MEASURE_REPEATS: usize = 5;
 
 fn grid(opts: &HarnessArgs) -> Vec<Scenario> {
     let ro = opts.run_options();
+    let policies: [_; 2] = policy_set("baseline,avatar");
     let mut scenarios = Vec::new();
     for w in Workload::all() {
         let w = Arc::new(w);
-        for cfg in CONFIGS {
+        for cfg in policies {
             scenarios.push(Scenario::shared(
                 format!("{}/{}", w.abbr, cfg.label()),
                 Arc::clone(&w),

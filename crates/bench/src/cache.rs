@@ -11,8 +11,7 @@
 //!
 //! * `Workload::key_digest()` — every field of the workload spec;
 //! * `PolicySelection::key_digest()` — which policy stack is assembled
-//!   (registry name + modifiers; `SystemConfig` cells key via their
-//!   registry alias);
+//!   (registry name + modifiers);
 //! * `RunOptions::key_digest()` — scale, seed, geometry, codec
 //!   (trace destinations are excluded: observers, not inputs);
 //! * the post-tweak `GpuConfig::key_digest()` — the full hardware
@@ -337,7 +336,6 @@ pub fn tally() -> CacheTally {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use avatar_core::system::SystemConfig;
     use std::sync::atomic::AtomicU32;
 
     /// A fresh scratch directory per test; `std::env::temp_dir` + pid +
@@ -480,11 +478,6 @@ mod tests {
         assert_eq!(
             base,
             cell_key_with_fingerprint(&w, avatar, &opts, &cfg, "fp")
-        );
-        // Enum aliases key identically to their registry selection.
-        assert_eq!(
-            base,
-            cell_key_with_fingerprint(&w, SystemConfig::Avatar.into(), &opts, &cfg, "fp")
         );
         // Every key input separates.
         assert_ne!(

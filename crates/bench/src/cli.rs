@@ -8,10 +8,6 @@
 //! * `--scale <f>`, `--sms <n>`, `--warps <n>` — individual geometry knobs
 //! * `--threads <n>` — worker threads for the scenario grid (default:
 //!   `AVATAR_THREADS`, else available parallelism)
-//! * `--policy <name>` / `--policies <list>` — restrict a harness to
-//!   named translation policies from the registry (repeatable flag /
-//!   comma-separated list; see [`avatar_core::policy::REGISTRY`]).
-//!   Unknown names are hard errors listing the catalog.
 //! * `--seed <n>` — extra seed mixed into allocation randomness
 //! * `--json <path>` — dump rows as machine-readable JSON
 //! * `--trace-out <path>` — Chrome-trace destination (`probes` builds;
@@ -25,6 +21,10 @@
 //! else is a **hard error**: the binary prints its usage text and exits
 //! with status 2 instead of silently ignoring a typo (`--warsp 48` used
 //! to run the default geometry and *look* like a paper-scale result).
+//! The same holds for [`POLICY_FLAGS`] (`--policy <name>` /
+//! `--policies <list>`, registry names): only the harnesses whose
+//! column set is a free choice declare them, so a fixed-set figure
+//! rejects `--policy revelator` instead of printing its usual columns.
 
 use crate::json::Json;
 use avatar_core::policy::PolicySelection;
@@ -43,6 +43,24 @@ pub struct ExtraFlag {
     /// One-line description for the usage text.
     pub help: &'static str,
 }
+
+/// `--policy NAME` (repeatable) / `--policies LIST`: restrict a harness
+/// to registry selections (see [`avatar_core::policy::REGISTRY`]).
+/// Unknown names are hard errors listing the catalog. Declared through
+/// [`HarnessArgs::parse_with`] by harnesses that honour
+/// [`HarnessArgs::policies`]; undeclared, they are unknown flags.
+pub const POLICY_FLAGS: [ExtraFlag; 2] = [
+    ExtraFlag {
+        flag: "--policy",
+        value_name: Some("NAME"),
+        help: "restrict to a registry policy (repeatable; e.g. avatar, revelator, avatar+dead)",
+    },
+    ExtraFlag {
+        flag: "--policies",
+        value_name: Some("LIST"),
+        help: "comma-separated policy names (appends to --policy)",
+    },
+];
 
 /// Parsed command-line options shared by all harness binaries.
 #[derive(Debug, Clone)]
@@ -109,7 +127,6 @@ pub fn usage(bin: &str, extras: &[ExtraFlag]) -> String {
     let mut s = format!(
         "usage: {bin} [--quick | --full] [--scale F] [--sms N] [--warps N]\n       \
          [--threads N] [--seed N] [--json PATH]\n       \
-         [--policy NAME]... [--policies LIST]\n       \
          [--trace-out PATH] [--cache DIR | --no-cache]"
     );
     for e in extras {
@@ -127,9 +144,6 @@ pub fn usage(bin: &str, extras: &[ExtraFlag]) -> String {
          --threads N        worker threads (default: AVATAR_THREADS, else all cores)\n  \
          --seed N           extra allocation seed (default 7)\n  \
          --json PATH        dump rows as JSON\n  \
-         --policy NAME      restrict to a registry policy (repeatable;\n                     \
-         e.g. avatar, revelator, avatar+dead)\n  \
-         --policies LIST    comma-separated policy names (appends to --policy)\n  \
          --trace-out PATH   write a Chrome/Perfetto trace (probes builds;\n                     \
          env fallback: AVATAR_TRACE_OUT)\n  \
          --cache DIR        result-cache directory (default: AVATAR_CACHE,\n                     \
@@ -196,6 +210,7 @@ impl HarnessArgs {
             let v = next.ok_or_else(|| format!("{flag} needs a value"))?;
             v.parse().map_err(|_| format!("{flag} value '{v}' is not valid"))
         }
+        let declared = |flag: &str| extras.iter().any(|e| e.flag == flag);
         let mut opts = Self::default();
         let mut args = args.into_iter();
         'next_arg: while let Some(a) = args.next() {
@@ -228,11 +243,11 @@ impl HarnessArgs {
                         Some(PathBuf::from(value::<String>("--cache", args.next())?))
                 }
                 "--no-cache" => opts.no_cache = true,
-                "--policy" => {
+                "--policy" if declared("--policy") => {
                     let name = value::<String>("--policy", args.next())?;
                     opts.policy_list.push(PolicySelection::parse(&name)?);
                 }
-                "--policies" => {
+                "--policies" if declared("--policies") => {
                     let list = value::<String>("--policies", args.next())?;
                     opts.policy_list.extend(PolicySelection::parse_list(&list)?);
                 }
@@ -442,6 +457,7 @@ mod tests {
 
     #[test]
     fn policy_flags_parse() {
+        let parse = |list: &[&str]| HarnessArgs::try_parse(args(list), &POLICY_FLAGS);
         // Default: no restriction — harnesses run their own set.
         let d = parse(&[]).expect("valid args");
         assert!(d.policies().is_none());
@@ -462,6 +478,19 @@ mod tests {
         assert!(err.contains("warpspeed") && err.contains("avatar"), "{err}");
         let err = parse(&["--policies", "colt,ideal+dead"]).expect_err("bad modifier combo");
         assert!(err.contains("ideal"), "{err}");
+    }
+
+    #[test]
+    fn policy_flags_are_unknown_unless_declared() {
+        // A fixed-set harness must not run its usual columns under a
+        // policy restriction it would ignore.
+        for flag in ["--policy", "--policies"] {
+            let err = parse(&[flag, "revelator"]).expect_err("undeclared policy flag");
+            assert!(err.contains(&format!("unknown flag '{flag}'")), "{err}");
+        }
+        assert!(!usage("fig17_eaf", &[]).contains("--polic"));
+        let u = usage("policy_sweep", &POLICY_FLAGS);
+        assert!(u.contains("--policy NAME") && u.contains("--policies LIST"), "{u}");
     }
 
     #[test]

@@ -20,7 +20,19 @@ pub mod json;
 pub mod runner;
 pub mod timer;
 
-pub use cli::{default_threads, usage, ExtraFlag, HarnessArgs};
+pub use cli::{default_threads, usage, ExtraFlag, HarnessArgs, POLICY_FLAGS};
+
+use avatar_core::policy::PolicySelection;
+
+/// Parses a harness's fixed policy list — comma-separated registry names,
+/// see [`PolicySelection::parse_list`] — into an array. A bad name or a
+/// count other than `N` is a bug in the harness's own constant, so it
+/// panics.
+pub fn policy_set<const N: usize>(names: &str) -> [PolicySelection; N] {
+    let list = PolicySelection::parse_list(names).unwrap_or_else(|e| panic!("{e}"));
+    let n = list.len();
+    list.try_into().unwrap_or_else(|_| panic!("'{names}' names {n} policies, not {N}"))
+}
 
 /// Geometric mean (the paper's averaging for speedups).
 pub fn geomean(xs: &[f64]) -> f64 {
@@ -80,6 +92,18 @@ mod tests {
     #[test]
     fn geomean_empty_is_zero() {
         assert_eq!(geomean(&[]), 0.0);
+    }
+
+    #[test]
+    fn policy_set_parses_in_order() {
+        let [base, avatar] = policy_set("baseline, avatar");
+        assert_eq!((base.label(), avatar.label()), ("Baseline".into(), "Avatar".into()));
+    }
+
+    #[test]
+    #[should_panic(expected = "names 2 policies, not 3")]
+    fn policy_set_rejects_a_miscounted_list() {
+        let _: [PolicySelection; 3] = policy_set("baseline,avatar");
     }
 
     #[test]

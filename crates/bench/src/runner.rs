@@ -24,7 +24,7 @@
 //! aborts the sweep: silent reuse of a corrupt result is never an option.
 
 use avatar_core::policy::PolicySelection;
-use avatar_core::system::{gpu_config_for, run_policy_with, RunOptions};
+use avatar_core::system::{assemble_policy, gpu_config_for, RunOptions};
 use avatar_sim::config::GpuConfig;
 use avatar_sim::fxhash::FxHashMap;
 use avatar_sim::Stats;
@@ -117,8 +117,7 @@ pub struct Scenario {
     /// The workload to run, shared (not deep-cloned) across the cells of a
     /// grid: every row of a figure references the same `Arc`.
     pub workload: Arc<Workload>,
-    /// The translation policy to run it on. `SystemConfig` converts via
-    /// `Into`, so enum-era call sites pass their variant unchanged.
+    /// The translation policy to run it on.
     pub policy: PolicySelection,
     /// Scale/SMs/oversubscription/etc.
     pub opts: RunOptions,
@@ -127,12 +126,11 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// A plain cell: workload × policy × options. Accepts a
-    /// [`PolicySelection`] or a legacy `SystemConfig` variant.
+    /// A plain cell: workload × policy × options.
     pub fn new(
         label: impl Into<String>,
         workload: &Workload,
-        policy: impl Into<PolicySelection>,
+        policy: PolicySelection,
         opts: RunOptions,
     ) -> Self {
         Self::shared(label, Arc::new(workload.clone()), policy, opts)
@@ -144,10 +142,10 @@ impl Scenario {
     pub fn shared(
         label: impl Into<String>,
         workload: Arc<Workload>,
-        policy: impl Into<PolicySelection>,
+        policy: PolicySelection,
         opts: RunOptions,
     ) -> Self {
-        Self { label: label.into(), workload, policy: policy.into(), opts, tweak: None }
+        Self { label: label.into(), workload, policy, opts, tweak: None }
     }
 
     /// Attaches a [`GpuConfig`] tweak (ablation/sensitivity knob).
@@ -178,10 +176,12 @@ impl Scenario {
         if opts.trace_out.is_some() && opts.trace_tag.is_none() {
             opts.trace_tag = Some(format!("{} {}", self.workload.abbr, self.label));
         }
-        match &self.tweak {
-            Some(t) => run_policy_with(&self.workload, self.policy, &opts, |c| t(c)),
-            None => run_policy_with(&self.workload, self.policy, &opts, |_| {}),
-        }
+        let tweak = |c: &mut GpuConfig| {
+            if let Some(t) = &self.tweak {
+                t(c);
+            }
+        };
+        assemble_policy(&self.workload, self.policy, &opts, tweak).run()
     }
 }
 

@@ -7,8 +7,9 @@
 //! would race to configure it.
 
 use avatar_bench::cache::{self, ResultCache};
+use avatar_bench::policy_set;
 use avatar_bench::runner::{run_scenarios, Scenario};
-use avatar_core::system::{RunOptions, SystemConfig};
+use avatar_core::system::RunOptions;
 use avatar_workloads::Workload;
 use std::sync::Arc;
 
@@ -18,12 +19,13 @@ fn opts(seed: u64) -> RunOptions {
 
 fn grid(seed: u64) -> Vec<Scenario> {
     let w = Arc::new(Workload::by_abbr("GEMM").expect("workload table contains GEMM"));
+    let [baseline, avatar] = policy_set("baseline,avatar");
     vec![
-        Scenario::shared("base", Arc::clone(&w), SystemConfig::Baseline, opts(seed)),
-        Scenario::shared("avatar", Arc::clone(&w), SystemConfig::Avatar, opts(seed)),
+        Scenario::shared("base", Arc::clone(&w), baseline, opts(seed)),
+        Scenario::shared("avatar", Arc::clone(&w), avatar, opts(seed)),
         // Identical to the first cell (different label, same content):
         // must memoize, not re-run.
-        Scenario::shared("base again", Arc::clone(&w), SystemConfig::Baseline, opts(seed)),
+        Scenario::shared("base again", Arc::clone(&w), baseline, opts(seed)),
     ]
 }
 

@@ -4,9 +4,9 @@
 //! index, so `--threads 1` and `--threads N` must agree exactly.
 
 use avatar_bench::json::Json;
-use avatar_bench::obj;
 use avatar_bench::runner::{run_scenarios, Scenario};
-use avatar_core::system::{RunOptions, SystemConfig};
+use avatar_bench::{obj, policy_set};
+use avatar_core::system::RunOptions;
 use avatar_workloads::Workload;
 
 fn small_grid() -> Vec<Scenario> {
@@ -14,8 +14,9 @@ fn small_grid() -> Vec<Scenario> {
     let mut scenarios = Vec::new();
     for abbr in ["GEMM", "SSSP"] {
         let w = Workload::by_abbr(abbr).expect("known workload");
-        for cfg in [SystemConfig::Baseline, SystemConfig::Avatar] {
-            scenarios.push(Scenario::new(format!("{abbr}/{}", cfg.label()), &w, cfg, ro.clone()));
+        for policy in policy_set::<2>("baseline,avatar") {
+            let label = format!("{abbr}/{}", policy.label());
+            scenarios.push(Scenario::new(label, &w, policy, ro.clone()));
         }
     }
     scenarios

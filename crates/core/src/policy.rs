@@ -8,13 +8,10 @@
 //! sweep over [`PolicySelection::all_base`], and key result-cache cells
 //! on [`PolicySelection::key_digest`].
 //!
-//! The registry replaces the closed `match` arms that used to live in
-//! `system.rs`: adding a contender is now one [`PolicyDef`] row (plus its
-//! policy type), not edits to every assembly function. The original
-//! [`SystemConfig`](crate::system::SystemConfig) enum survives as a thin
-//! alias layer — each variant maps onto a registry entry via
-//! [`SystemConfig::selection`](crate::system::SystemConfig::selection) —
-//! so existing harnesses and their byte-pinned outputs are untouched.
+//! The registry is the only way to name a system: harnesses, tests, the
+//! `avatar` CLI and the benchmark all spell their policy sets as registry
+//! names. Adding a contender is one [`PolicyDef`] row (plus its policy
+//! type), not edits to every assembly function.
 
 use crate::cast::AvatarPolicy;
 use crate::dead_entry::DeadEntryPolicy;
@@ -217,6 +214,10 @@ pub const REGISTRY: &[PolicyDef] = &[
     },
 ];
 
+/// The paper's Fig 15 column set, in plot order (the Baseline reference
+/// column is implicit). A [`PolicySelection::parse_list`] input.
+pub const FIG15: &str = "promotion,colt,snakebyte,cast,avatar,cast-ideal";
+
 /// Looks up a registry entry by canonical name.
 pub fn find(name: &str) -> Option<&'static PolicyDef> {
     REGISTRY.iter().find(|d| d.name == name)
@@ -330,6 +331,15 @@ impl PolicySelection {
         }
         h.write_u64(u64::from(*dead_entry));
         h.finish()
+    }
+
+    /// Sets the [`GpuConfig`] switches this selection's entry owns:
+    /// the translation oracle, 2MB promotion, and CAVA's embedded page
+    /// info.
+    pub fn configure(&self, cfg: &mut GpuConfig) {
+        cfg.ideal_tlb = self.def.ideal_tlb;
+        cfg.uvm.promotion = self.def.uses_promotion;
+        cfg.uvm.embed_page_info = self.def.embeds_page_info;
     }
 
     /// Builds the L1 (per-SM) and L2 TLB models for this selection.
@@ -467,6 +477,16 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn fig15_set_parses_in_plot_order() {
+        let sels = PolicySelection::parse_list(FIG15).expect("registry names");
+        let labels: Vec<String> = sels.iter().map(|s| s.label()).collect();
+        assert_eq!(
+            labels,
+            ["Promotion", "CoLT", "SnakeByte", "CAST-only", "Avatar", "CAST+Ideal-Valid"]
+        );
     }
 
     #[test]

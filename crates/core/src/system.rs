@@ -5,103 +5,12 @@
 //! ([`crate::policy`]): a [`PolicySelection`] names the TLB family,
 //! memory-manager behaviour, and speculation policy, and
 //! [`run_policy`]/[`assemble_policy`] execute one workload on it.
-//!
-//! [`SystemConfig`] — the closed enum that used to own the assembly
-//! `match` arms — survives as a thin alias layer over the registry:
-//! every variant maps onto a registry entry via
-//! [`SystemConfig::selection`], and the enum-typed entry points
-//! ([`run`], [`run_with`], [`assemble`], [`gpu_config`]) delegate to the
-//! policy-typed ones. Existing harnesses and their byte-pinned outputs
-//! are untouched; new code (and anything that needs Revelator or the
-//! `+dead` modifier) should prefer [`PolicySelection`] directly.
 
 use crate::policy::PolicySelection;
 use avatar_sim::config::{BasePage, GpuConfig};
 use avatar_sim::engine::Engine;
 use avatar_sim::stats::Stats;
 use avatar_workloads::Workload;
-
-/// A system configuration from the paper's evaluation.
-///
-/// Kept as a convenience alias over the policy registry — see the
-/// module docs. `SystemConfig::Avatar.selection()` is the registry
-/// entry named `"avatar"`, and so on for every variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SystemConfig {
-    /// UVM baseline: base TLBs, TBN prefetcher, no promotion.
-    Baseline,
-    /// Translation oracle: every lookup resolves instantly (Fig 3 bound).
-    IdealTlb,
-    /// Mosaic-style page promotion (adopted by all techniques below).
-    Promotion,
-    /// CoLT coalesced TLBs + promotion.
-    Colt,
-    /// SnakeByte recursive merging + promotion.
-    SnakeByte,
-    /// CAST speculation without validation support.
-    CastOnly,
-    /// Full Avatar: CAST + CAVA + EAF.
-    Avatar,
-    /// Avatar without Early-TLB-Fill (ablation).
-    AvatarNoEaf,
-    /// CAST with oracle validation (upper bound for validation).
-    CastIdealValid,
-    /// Avatar with the VPN-T predictor instead of MOD (Fig 22).
-    AvatarVpnT,
-}
-
-impl SystemConfig {
-    /// The seven configurations of the paper's Fig 15, in plot order.
-    pub const FIG15: [SystemConfig; 6] = [
-        SystemConfig::Promotion,
-        SystemConfig::Colt,
-        SystemConfig::SnakeByte,
-        SystemConfig::CastOnly,
-        SystemConfig::Avatar,
-        SystemConfig::CastIdealValid,
-    ];
-
-    /// The registry policy this configuration aliases.
-    pub fn selection(self) -> PolicySelection {
-        let name = match self {
-            SystemConfig::Baseline => "baseline",
-            SystemConfig::IdealTlb => "ideal",
-            SystemConfig::Promotion => "promotion",
-            SystemConfig::Colt => "colt",
-            SystemConfig::SnakeByte => "snakebyte",
-            SystemConfig::CastOnly => "cast",
-            SystemConfig::Avatar => "avatar",
-            SystemConfig::AvatarNoEaf => "avatar-noeaf",
-            SystemConfig::CastIdealValid => "cast-ideal",
-            SystemConfig::AvatarVpnT => "avatar-vpnt",
-        };
-        PolicySelection::base(
-            crate::policy::find(name).expect("every SystemConfig aliases a registry entry"),
-        )
-    }
-
-    /// Short label used in harness tables.
-    pub fn label(self) -> &'static str {
-        self.selection().def.label
-    }
-
-    /// Whether the configuration adopts page promotion (the paper adopts
-    /// it for everything except the plain baseline and the ideal bound).
-    pub fn uses_promotion(self) -> bool {
-        self.selection().def.uses_promotion
-    }
-
-    /// Whether migrated data is compressed with embedded page info (CAVA).
-    pub fn embeds_page_info(self) -> bool {
-        self.selection().def.embeds_page_info
-    }
-}
-
-impl From<SystemConfig> for PolicySelection {
-    fn from(config: SystemConfig) -> Self {
-        config.selection()
-    }
-}
 
 /// Options shared by every experiment harness.
 #[derive(Debug, Clone)]
@@ -212,11 +121,6 @@ impl RunOptions {
     }
 }
 
-/// Builds the `GpuConfig` for (workload, configuration, options).
-pub fn gpu_config(workload: &Workload, config: SystemConfig, opts: &RunOptions) -> GpuConfig {
-    gpu_config_for(workload, config.selection(), opts)
-}
-
 /// Builds the `GpuConfig` for (workload, policy selection, options).
 pub fn gpu_config_for(
     workload: &Workload,
@@ -232,10 +136,8 @@ pub fn gpu_config_for(
     }
     cfg.seed = opts.seed ^ workload.seed.rotate_left(17);
     cfg.tenants = opts.tenants.max(1);
-    cfg.ideal_tlb = policy.def.ideal_tlb;
     cfg.uvm.base_page = opts.base_page;
-    cfg.uvm.promotion = policy.def.uses_promotion;
-    cfg.uvm.embed_page_info = policy.def.embeds_page_info;
+    policy.configure(&mut cfg);
     if let Some(factor) = opts.oversubscription {
         // Size memory against the footprint the trace actually touches
         // (the paper adjusts memory per workload to incur the target
@@ -277,52 +179,16 @@ fn touched_footprint_cached(
     v
 }
 
-/// Runs one workload under one configuration and returns its statistics.
-pub fn run(workload: &Workload, config: SystemConfig, opts: &RunOptions) -> Stats {
-    run_policy(workload, config.selection(), opts)
-}
-
-/// Like [`run`] but lets the caller tweak the assembled [`GpuConfig`]
-/// before the engine is built — the hook for sensitivity/ablation studies
-/// (MOD sizing, decompression latency, PIPT caches, …).
-pub fn run_with(
-    workload: &Workload,
-    config: SystemConfig,
-    opts: &RunOptions,
-    tweak: impl FnOnce(&mut GpuConfig),
-) -> Stats {
-    run_policy_with(workload, config.selection(), opts, tweak)
-}
-
 /// Runs one workload under one registry policy selection.
 pub fn run_policy(workload: &Workload, policy: PolicySelection, opts: &RunOptions) -> Stats {
-    run_policy_with(workload, policy, opts, |_| {})
-}
-
-/// Like [`run_policy`] with a pre-assembly [`GpuConfig`] tweak.
-pub fn run_policy_with(
-    workload: &Workload,
-    policy: PolicySelection,
-    opts: &RunOptions,
-    tweak: impl FnOnce(&mut GpuConfig),
-) -> Stats {
-    assemble_policy(workload, policy, opts, tweak).run()
-}
-
-/// Assembles the engine for (workload, configuration, options) without
-/// running it — the enum-typed alias of [`assemble_policy`].
-pub fn assemble(
-    workload: &Workload,
-    config: SystemConfig,
-    opts: &RunOptions,
-    tweak: impl FnOnce(&mut GpuConfig),
-) -> Engine<'static> {
-    assemble_policy(workload, config.selection(), opts, tweak)
+    assemble_policy(workload, policy, opts, |_| {}).run()
 }
 
 /// Assembles the engine for (workload, policy selection, options)
-/// without running it. This is [`run_policy_with`] stopped just before
-/// `Engine::run`, for callers that need the engine object itself.
+/// without running it. `tweak` adjusts the assembled [`GpuConfig`]
+/// before the engine is built — the hook for sensitivity/ablation
+/// studies (MOD sizing, decompression latency, PIPT caches, …); callers
+/// that want statistics chain `.run()`.
 pub fn assemble_policy(
     workload: &Workload,
     policy: PolicySelection,
@@ -361,7 +227,7 @@ pub fn assemble_policy(
 /// comes from `AVATAR_TRACE_SAMPLE` (0/1 = every warp); it is read once
 /// here, at construction — never on the event path. Public so harnesses
 /// that assemble an [`Engine`] by hand (microbenchmark bins) honour
-/// `--trace-out` the same way [`run`] does.
+/// `--trace-out` the same way [`assemble_policy`] does.
 #[cfg(feature = "probes")]
 pub fn attach_trace(engine: &mut Engine, opts: &RunOptions) {
     if let Some(path) = opts.trace_path() {
@@ -405,9 +271,14 @@ mod tests {
         Workload::by_abbr("GEMM").expect("known workload")
     }
 
+    fn run(workload: &Workload, name: &str, opts: &RunOptions) -> Stats {
+        let policy = PolicySelection::parse(name).expect("registry name");
+        run_policy(workload, policy, opts)
+    }
+
     #[test]
     fn baseline_runs_to_completion() {
-        let stats = run(&quick_workload(), SystemConfig::Baseline, &quick_opts());
+        let stats = run(&quick_workload(), "baseline", &quick_opts());
         assert!(stats.cycles > 0);
         assert!(stats.loads > 0);
         assert_eq!(stats.speculations, 0, "baseline never speculates");
@@ -416,8 +287,8 @@ mod tests {
     #[test]
     fn ideal_tlb_beats_baseline() {
         let w = Workload::by_abbr("SSSP").unwrap();
-        let base = run(&w, SystemConfig::Baseline, &quick_opts());
-        let ideal = run(&w, SystemConfig::IdealTlb, &quick_opts());
+        let base = run(&w, "baseline", &quick_opts());
+        let ideal = run(&w, "ideal", &quick_opts());
         assert!(
             ideal.cycles < base.cycles,
             "ideal {} must beat baseline {}",
@@ -430,7 +301,7 @@ mod tests {
     #[test]
     fn avatar_speculates_and_validates() {
         let w = Workload::by_abbr("SSSP").unwrap();
-        let stats = run(&w, SystemConfig::Avatar, &quick_opts());
+        let stats = run(&w, "avatar", &quick_opts());
         assert!(stats.speculations > 0, "Avatar must speculate");
         assert!(stats.spec_correct > 0, "some speculations must be correct");
         assert!(stats.outcomes.fast_translation > 0, "CAVA must validate some");
@@ -440,7 +311,7 @@ mod tests {
     #[test]
     fn cast_only_speculates_but_never_fast_translates() {
         let w = Workload::by_abbr("SSSP").unwrap();
-        let stats = run(&w, SystemConfig::CastOnly, &quick_opts());
+        let stats = run(&w, "cast", &quick_opts());
         assert!(stats.speculations > 0);
         assert_eq!(stats.outcomes.fast_translation, 0, "no validation hardware");
         assert_eq!(stats.eaf_fills, 0);
@@ -452,7 +323,7 @@ mod tests {
         // chunks become fully resident and promote.
         let w = Workload::by_abbr("GEMM").unwrap();
         let opts = RunOptions { scale: 0.05, sms: Some(8), warps: Some(16), ..RunOptions::default() };
-        let stats = run(&w, SystemConfig::Promotion, &opts);
+        let stats = run(&w, "promotion", &opts);
         assert!(stats.promotions > 0, "fully-touched chunks must promote");
     }
 
@@ -467,7 +338,7 @@ mod tests {
             warps: Some(16),
             ..RunOptions::default()
         };
-        let stats = run(&w, SystemConfig::Baseline, &opts);
+        let stats = run(&w, "baseline", &opts);
         assert!(stats.chunks_evicted > 0, "130% oversubscription must evict");
         assert!(stats.tlb_shootdowns > 0);
     }
@@ -475,8 +346,8 @@ mod tests {
     #[test]
     fn deterministic_runs() {
         let w = quick_workload();
-        let a = run(&w, SystemConfig::Avatar, &quick_opts());
-        let b = run(&w, SystemConfig::Avatar, &quick_opts());
+        let a = run(&w, "avatar", &quick_opts());
+        let b = run(&w, "avatar", &quick_opts());
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.speculations, b.speculations);
         assert_eq!(a.dram_read_bytes, b.dram_read_bytes);
@@ -485,32 +356,36 @@ mod tests {
     #[test]
     fn colt_and_snakebyte_run() {
         let w = Workload::by_abbr("KM").unwrap();
-        for config in [SystemConfig::Colt, SystemConfig::SnakeByte] {
-            let stats = run(&w, config, &quick_opts());
-            assert!(stats.cycles > 0, "{} must complete", config.label());
+        for name in ["colt", "snakebyte"] {
+            let stats = run(&w, name, &quick_opts());
+            assert!(stats.cycles > 0, "{name} must complete");
         }
     }
 
     #[test]
-    fn enum_aliases_preserve_labels_and_flags() {
-        use SystemConfig::*;
+    fn gpu_config_carries_each_policy_flags() {
         let expect = [
-            (Baseline, "Baseline", false, false),
-            (IdealTlb, "Ideal-TLB", false, false),
-            (Promotion, "Promotion", true, false),
-            (Colt, "CoLT", true, false),
-            (SnakeByte, "SnakeByte", true, false),
-            (CastOnly, "CAST-only", true, false),
-            (Avatar, "Avatar", true, true),
-            (AvatarNoEaf, "Avatar-noEAF", true, true),
-            (CastIdealValid, "CAST+Ideal-Valid", true, false),
-            (AvatarVpnT, "Avatar-VPNT", true, true),
+            ("baseline", "Baseline", false, false, false),
+            ("ideal", "Ideal-TLB", false, false, true),
+            ("promotion", "Promotion", true, false, false),
+            ("colt", "CoLT", true, false, false),
+            ("snakebyte", "SnakeByte", true, false, false),
+            ("cast", "CAST-only", true, false, false),
+            ("avatar", "Avatar", true, true, false),
+            ("avatar-noeaf", "Avatar-noEAF", true, true, false),
+            ("cast-ideal", "CAST+Ideal-Valid", true, false, false),
+            ("avatar-vpnt", "Avatar-VPNT", true, true, false),
+            ("revelator", "Revelator", true, false, false),
         ];
-        for (config, label, promotes, embeds) in expect {
-            assert_eq!(config.label(), label);
-            assert_eq!(config.uses_promotion(), promotes, "{label}");
-            assert_eq!(config.embeds_page_info(), embeds, "{label}");
-            assert_eq!(PolicySelection::from(config), config.selection());
+        assert_eq!(expect.len(), crate::policy::REGISTRY.len(), "every entry is listed");
+        let w = quick_workload();
+        for (name, label, promotes, embeds, ideal) in expect {
+            let sel = PolicySelection::parse(name).expect("registry name");
+            assert_eq!(sel.label(), label);
+            let cfg = gpu_config_for(&w, sel, &quick_opts());
+            assert_eq!(cfg.uvm.promotion, promotes, "{label}");
+            assert_eq!(cfg.uvm.embed_page_info, embeds, "{label}");
+            assert_eq!(cfg.ideal_tlb, ideal, "{label}");
         }
     }
 }

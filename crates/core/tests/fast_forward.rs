@@ -7,7 +7,8 @@
 //! permitted difference is `idle_cycles_skipped`, which *reports* how much
 //! scanning was avoided (and is zero when the knob is off).
 
-use avatar_core::system::{run_with, RunOptions, SystemConfig};
+use avatar_core::policy::PolicySelection;
+use avatar_core::system::{assemble_policy, RunOptions};
 use avatar_workloads::Workload;
 
 fn opts() -> RunOptions {
@@ -17,9 +18,9 @@ fn opts() -> RunOptions {
 #[test]
 fn fast_forward_changes_no_simulated_statistic() {
     let w = Workload::by_abbr("GEMM").unwrap();
-    for config in [SystemConfig::Baseline, SystemConfig::Avatar] {
-        let mut on = run_with(&w, config, &opts(), |c| c.fast_forward = true);
-        let mut off = run_with(&w, config, &opts(), |c| c.fast_forward = false);
+    for config in PolicySelection::parse_list("baseline,avatar").expect("registry names") {
+        let mut on = assemble_policy(&w, config, &opts(), |c| c.fast_forward = true).run();
+        let mut off = assemble_policy(&w, config, &opts(), |c| c.fast_forward = false).run();
 
         // The counter itself is the one legitimate difference: positive
         // when skipping is on (GPU pipelines leave plenty of idle gaps),

@@ -11,27 +11,14 @@
 //! different calendar occupancy changes how much fast-forward can skip).
 //!
 //! This is the CI-enforced differential gate from DESIGN.md §9: the sweep
-//! covers every figure-bin system configuration at two seeds, so a
+//! covers every registry policy at two seeds, so a
 //! divergence introduced anywhere in the fast path's classify/commit
 //! logic is caught by `cargo test` alone.
 
-use avatar_core::system::{run_with, RunOptions, SystemConfig};
+use avatar_core::policy::PolicySelection;
+use avatar_core::system::{assemble_policy, RunOptions};
 use avatar_sim::Stats;
 use avatar_workloads::Workload;
-
-/// Every configuration any figure bin runs, not just Fig 15's seven.
-const ALL_CONFIGS: [SystemConfig; 10] = [
-    SystemConfig::Baseline,
-    SystemConfig::IdealTlb,
-    SystemConfig::Promotion,
-    SystemConfig::Colt,
-    SystemConfig::SnakeByte,
-    SystemConfig::CastOnly,
-    SystemConfig::Avatar,
-    SystemConfig::AvatarNoEaf,
-    SystemConfig::CastIdealValid,
-    SystemConfig::AvatarVpnT,
-];
 
 fn opts(seed: u64) -> RunOptions {
     RunOptions { scale: 0.03, sms: Some(4), warps: Some(8), seed, ..RunOptions::default() }
@@ -51,9 +38,9 @@ fn fast_path_digest_identical_across_figure_configs() {
     let w = Workload::by_abbr("MD").expect("workload table contains MD");
     let mut total_fast_sectors = 0u64;
     for seed in [0u64, 1] {
-        for config in ALL_CONFIGS {
-            let on = run_with(&w, config, &opts(seed), |c| c.inline_hit_path = true);
-            let off = run_with(&w, config, &opts(seed), |c| c.inline_hit_path = false);
+        for config in PolicySelection::all_base() {
+            let on = assemble_policy(&w, config, &opts(seed), |c| c.inline_hit_path = true).run();
+            let off = assemble_policy(&w, config, &opts(seed), |c| c.inline_hit_path = false).run();
 
             // The fast-path counters classify at issue time in both modes,
             // so even they must agree; only the event count and calendar
@@ -85,9 +72,9 @@ fn fast_path_full_debug_rendering_matches() {
     // one speculation-heavy config field-for-field via Debug rendering,
     // the same trick fast_forward.rs uses.
     let w = Workload::by_abbr("MD").expect("workload table contains MD");
-    for config in [SystemConfig::Baseline, SystemConfig::Avatar] {
-        let mut on = run_with(&w, config, &opts(0), |c| c.inline_hit_path = true);
-        let mut off = run_with(&w, config, &opts(0), |c| c.inline_hit_path = false);
+    for config in PolicySelection::parse_list("baseline,avatar").expect("registry names") {
+        let mut on = assemble_policy(&w, config, &opts(0), |c| c.inline_hit_path = true).run();
+        let mut off = assemble_policy(&w, config, &opts(0), |c| c.inline_hit_path = false).run();
         for s in [&mut on, &mut off] {
             s.events_processed = 0;
             s.idle_cycles_skipped = 0;

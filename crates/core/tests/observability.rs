@@ -5,8 +5,8 @@
 //! 1. **Differential**: attaching a probe sink (here the Chrome-trace
 //!    exporter, via `RunOptions::trace_out`) changes no simulated
 //!    statistic — `Stats::digest()` and the full `Debug` rendering are
-//!    identical sink-attached vs detached, across every figure-bin
-//!    configuration at two seeds.
+//!    identical sink-attached vs detached, across every registry policy
+//!    at two seeds.
 //! 2. **Conservation** (`probes` builds): the per-phase latency breakdown
 //!    attributes every cycle of every sector request to exactly one
 //!    phase, so the phase sums equal the end-to-end sector latency sum
@@ -14,22 +14,9 @@
 //! 3. **Trace schema** (`probes` builds): the exported JSON is a loadable
 //!    Chrome/Perfetto document with the expected event kinds.
 
-use avatar_core::system::{run, RunOptions, SystemConfig};
+use avatar_core::policy::PolicySelection;
+use avatar_core::system::{run_policy, RunOptions};
 use avatar_workloads::Workload;
-
-/// Every configuration any figure bin runs, not just Fig 15's.
-const ALL_CONFIGS: [SystemConfig; 10] = [
-    SystemConfig::Baseline,
-    SystemConfig::IdealTlb,
-    SystemConfig::Promotion,
-    SystemConfig::Colt,
-    SystemConfig::SnakeByte,
-    SystemConfig::CastOnly,
-    SystemConfig::Avatar,
-    SystemConfig::AvatarNoEaf,
-    SystemConfig::CastIdealValid,
-    SystemConfig::AvatarVpnT,
-];
 
 fn opts(seed: u64) -> RunOptions {
     RunOptions { scale: 0.03, sms: Some(4), warps: Some(8), seed, ..RunOptions::default() }
@@ -43,15 +30,15 @@ fn temp_trace(tag: &str) -> std::path::PathBuf {
 fn probe_sink_never_changes_simulated_stats() {
     let w = Workload::by_abbr("MD").expect("workload table contains MD");
     for seed in [0u64, 1] {
-        for config in ALL_CONFIGS {
-            let plain = run(&w, config, &opts(seed));
+        for config in PolicySelection::all_base() {
+            let plain = run_policy(&w, config, &opts(seed));
             let path = temp_trace(&format!("{}_{seed}", config.label()));
             let traced_opts = RunOptions {
                 trace_out: Some(path.clone()),
                 trace_tag: Some("diff".to_string()),
                 ..opts(seed)
             };
-            let traced = run(&w, config, &traced_opts);
+            let traced = run_policy(&w, config, &traced_opts);
             if let Some(written) = traced_opts.trace_path() {
                 let _ = std::fs::remove_file(written);
             }
@@ -77,8 +64,8 @@ fn latency_breakdown_conserves_every_cycle() {
     use avatar_sim::probe::Phase;
     let w = Workload::by_abbr("MD").expect("workload table contains MD");
     let mut total_sectors = 0u64;
-    for config in ALL_CONFIGS {
-        let stats = run(&w, config, &opts(0));
+    for config in PolicySelection::all_base() {
+        let stats = run_policy(&w, config, &opts(0));
         let b = &stats.latency_breakdown;
         assert_eq!(
             b.total_cycles(),
@@ -110,7 +97,7 @@ fn exported_trace_is_loadable_chrome_json() {
     let w = Workload::by_abbr("GEMM").expect("workload table contains GEMM");
     let path = temp_trace("schema");
     let o = RunOptions { trace_out: Some(path.clone()), ..opts(0) };
-    let stats = run(&w, SystemConfig::Avatar, &o);
+    let stats = run_policy(&w, PolicySelection::parse("avatar").expect("registry name"), &o);
     assert!(stats.cycles > 0);
     let doc = std::fs::read_to_string(&path).expect("trace file written at end of run");
     let _ = std::fs::remove_file(&path);

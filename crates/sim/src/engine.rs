@@ -1632,6 +1632,15 @@ impl<'a> SmLane<'a> {
                                 .killed = true;
                         }
                     }
+                    // Drained from the waiter list whatever the outcome: a
+                    // request left waiting on its translation no longer
+                    // rides this entry, so a correct translation that finds
+                    // a newer fetch of the sector in flight must join it.
+                    self.req_mut(id)
+                        .spec
+                        .as_mut()
+                        .expect("spec state outlives its in-flight sector fetch")
+                        .fetch_registered = false;
                 }
                 self.req_unref(id);
             }

@@ -5,7 +5,8 @@
 //! Usage: `cargo run --release --example oversubscription [ABBR] [FACTOR]`
 //! (default SPMV at 130%).
 
-use avatar_gpu::core::system::{run, speedup, RunOptions, SystemConfig};
+use avatar_gpu::core::policy::PolicySelection;
+use avatar_gpu::core::system::{run_policy, speedup, RunOptions};
 use avatar_gpu::workloads::Workload;
 
 fn main() {
@@ -27,14 +28,18 @@ fn main() {
         (factor * 100.0) as u32
     );
 
+    let policies =
+        PolicySelection::parse_list("baseline,promotion,colt,avatar").expect("registry names");
+    let (baseline_policy, contenders) = policies.split_first().expect("non-empty list");
+
     for (label, opts) in [("fits in memory", &base_opts), ("oversubscribed", &over_opts)] {
-        let baseline = run(&workload, SystemConfig::Baseline, opts);
+        let baseline = run_policy(&workload, *baseline_policy, opts);
         println!(
             "--- {label}: baseline {} cycles, {} chunk evictions, {} TLB shootdowns",
             baseline.cycles, baseline.chunks_evicted, baseline.tlb_shootdowns
         );
-        for cfg in [SystemConfig::Promotion, SystemConfig::Colt, SystemConfig::Avatar] {
-            let s = run(&workload, cfg, opts);
+        for &cfg in contenders {
+            let s = run_policy(&workload, cfg, opts);
             println!(
                 "    {:<10} speedup {:.3}x  (promotions {}, splinters {}, spec accuracy {:.0}%)",
                 cfg.label(),

@@ -6,7 +6,8 @@
 //! (default: SSSP at scale 0.25 on a reduced 16-SM GPU so it finishes in
 //! seconds).
 
-use avatar_gpu::core::system::{run, speedup, RunOptions, SystemConfig};
+use avatar_gpu::core::policy::PolicySelection;
+use avatar_gpu::core::system::{run_policy, speedup, RunOptions};
 use avatar_gpu::workloads::Workload;
 
 fn main() {
@@ -28,7 +29,10 @@ fn main() {
         workload.scaled_working_set(scale) as f64 / (1 << 20) as f64,
     );
 
-    let base = run(&workload, SystemConfig::Baseline, &opts);
+    let [baseline_policy, avatar_policy] =
+        ["baseline", "avatar"].map(|name| PolicySelection::parse(name).expect("registry name"));
+
+    let base = run_policy(&workload, baseline_policy, &opts);
     println!(
         "baseline: {} cycles, {} loads, L1 TLB miss rate {:.1}%, {} page walks",
         base.cycles,
@@ -37,7 +41,7 @@ fn main() {
         base.page_walks
     );
 
-    let avatar = run(&workload, SystemConfig::Avatar, &opts);
+    let avatar = run_policy(&workload, avatar_policy, &opts);
     let o = &avatar.outcomes;
     println!(
         "avatar:   {} cycles  =>  speedup {:.3}x",

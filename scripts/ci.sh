@@ -3,20 +3,13 @@
 #
 # Fails if the build breaks, avatar-lint reports any deny finding (local
 # rules plus the workspace-semantic rules: digest field parity and
-# map-iteration determinism), the lint
-# cache fails its warm re-lint gate (a repeat scan into a fresh cache
-# file must replay as a hit and beat the AVATAR_LINT_SPEEDUP_MIN floor,
-# default 5x), clippy
-# reports any warning, any test fails (including the probes-off build and
+# map-iteration determinism), clippy reports any warning, any test fails (including the probes-off build and
 # the checked-mode `--features invariants` suite), the inline-hit fast
 # path changes any simulated statistic (the on/off digest differential),
 # the observability layer changes any simulated statistic (probe-sink
 # differential + latency-conservation tests), the fig15 grid diverges
 # between the default, invariants, or probes-compiled-out builds, the
-# policy registry assembles a different system than the enum-era
-# SystemConfig path (fig15 byte-diff between the default column set and
-# the same set spelled as --policies registry names), the policy_sweep
-# harness drops a default-set policy or its GMEAN row,
+# policy_sweep harness drops a default-set policy or its GMEAN row,
 # the paper-sweep benchmark's outputs check fails (every simulated cell
 # of its table2_scale grid must reproduce the digest pinned in
 # perfbench/expected.txt, so a change that shifts simulated behaviour is
@@ -47,41 +40,8 @@ echo "== avatar-lint (semantic deny gate) =="
 # The JSON report (per-rule counts + wall time) is archived next to the
 # throughput baseline so a CI failure leaves a machine-readable artifact
 # (exit is non-zero on any deny finding; `allowed` sites are still
-# listed in the report), and the SARIF dump under target/ is the
-# code-scanning upload artifact. The scan runs into a fresh cache file
-# so the warm re-lint below exercises a true cold-then-hit pair.
-lint_cache=$(mktemp -u /tmp/avatar-lint-cache.XXXXXX.txt)
-lint_warm_json=$(mktemp /tmp/avatar-lint-warm.XXXXXX.json)
-cargo run --release -q -p avatar-lint -- \
-    --json BENCH_lint.json --sarif target/avatar-lint.sarif \
-    --cache "$lint_cache" --show-allowed
-
-echo "== avatar-lint warm re-lint gate (content-addressed cache) =="
-# Same sources, same allow set, same binary: the second scan must replay
-# from the cache (status "hit") and come in at least
-# AVATAR_LINT_SPEEDUP_MIN times faster than the cold pass (default 5;
-# the warm path reads sources and verifies the key but skips the lexer
-# and item graph entirely).
-cargo run --release -q -p avatar-lint -- \
-    --json "$lint_warm_json" --cache "$lint_cache" --quiet
-grep -q '"cache": "hit"' "$lint_warm_json" || {
-    echo "LINT CACHE GATE: warm re-lint did not replay from cache" >&2
-    exit 1
-}
-lint_wall_ms() { grep -o '"wall_ms": [0-9]*' "$1" | head -1 | grep -o '[0-9]*'; }
-awk -v cold="$(lint_wall_ms BENCH_lint.json)" \
-    -v warm="$(lint_wall_ms "$lint_warm_json")" \
-    -v min="${AVATAR_LINT_SPEEDUP_MIN:-5}" 'BEGIN {
-    if (warm < 1) warm = 1;
-    ratio = cold / warm;
-    printf "lint warm re-lint: cold %d ms, warm %d ms, speedup %.1fx (floor %sx)\n",
-           cold, warm, ratio, min;
-    if (ratio < min) {
-        print "LINT CACHE GATE: warm re-lint below the speedup floor" > "/dev/stderr";
-        exit 1;
-    }
-}'
-rm -f "$lint_cache" "$lint_warm_json"
+# listed in the report).
+cargo run --release -q -p avatar-lint -- --json BENCH_lint.json --show-allowed
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -106,10 +66,9 @@ echo "== observability differential + conservation gate (release) =="
 # once (crates/core/tests/observability.rs).
 cargo test --release -q -p avatar-core --features probes --test observability
 
-echo "== fast-path differential gate (inline vs evented, all figure configs) =="
+echo "== fast-path differential gate (inline vs evented, all registry policies) =="
 # The inline hit fast path is a host-side speed knob: Stats::digest()
-# must be identical with it on and off for every figure-bin system
-# configuration. The sweep lives in crates/core/tests/fast_path.rs; it
+# must be identical with it on and off for every registry policy. The sweep lives in crates/core/tests/fast_path.rs; it
 # already ran once inside the workspace test pass above, so this release
 # re-run guards against opt-level-dependent divergence.
 cargo test --release -q -p avatar-core --test fast_path
@@ -123,11 +82,10 @@ fig_checked=$(mktemp /tmp/avatar-fig15-checked.XXXXXX.json)
 fig_noprobes=$(mktemp /tmp/avatar-fig15-noprobes.XXXXXX.json)
 fig_cold=$(mktemp /tmp/avatar-fig15-cold.XXXXXX.json)
 fig_warm=$(mktemp /tmp/avatar-fig15-warm.XXXXXX.json)
-fig_named=$(mktemp /tmp/avatar-fig15-named.XXXXXX.json)
 sweep_json=$(mktemp /tmp/avatar-policy-sweep.XXXXXX.json)
 cache_dir=$(mktemp -d /tmp/avatar-cache-gate.XXXXXX)
 tp_json=$(mktemp /tmp/avatar-throughput.XXXXXX.json)
-trap 'rm -f "$fig_default" "$fig_checked" "$fig_noprobes" "$fig_cold" "$fig_warm" "$fig_named" "$sweep_json" "$tp_json"; rm -rf "$cache_dir"' EXIT
+trap 'rm -f "$fig_default" "$fig_checked" "$fig_noprobes" "$fig_cold" "$fig_warm" "$sweep_json" "$tp_json"; rm -rf "$cache_dir"' EXIT
 cargo run --release -q -p avatar-bench --bin fig15_performance -- --quick --no-cache --json "$fig_default"
 cargo run --release -q -p avatar-bench --features invariants --bin fig15_performance -- --quick --no-cache --json "$fig_checked"
 cargo run --release -q -p avatar-bench --no-default-features --bin fig15_performance -- --quick --no-cache --json "$fig_noprobes"
@@ -137,19 +95,6 @@ if ! diff -q "$fig_default" "$fig_checked"; then
 fi
 if ! diff -q "$fig_default" "$fig_noprobes"; then
     echo "PROBES DIVERGENCE: fig15 JSON differs between probes-on (default) and probes-compiled-out builds" >&2
-    exit 1
-fi
-
-echo "== policy registry must not perturb results (fig15 byte-diff, enum vs --policies) =="
-# The name-keyed policy registry replaced the enum-era SystemConfig
-# assembly. The default fig15 run (enum aliases) and the same column set
-# spelled as parsed registry names must produce byte-identical JSON —
-# any divergence means the registry builds a different system than the
-# enum did.
-cargo run --release -q -p avatar-bench --bin fig15_performance -- --quick --no-cache \
-    --policies "promotion,colt,snakebyte,cast,avatar,cast-ideal" --json "$fig_named"
-if ! diff -q "$fig_default" "$fig_named"; then
-    echo "REGISTRY DIVERGENCE: fig15 JSON differs between enum aliases and parsed policy names" >&2
     exit 1
 fi
 

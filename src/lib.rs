@@ -16,13 +16,15 @@
 //! # Quick start
 //!
 //! ```
-//! use avatar_gpu::core::system::{run, RunOptions, SystemConfig};
+//! use avatar_gpu::core::policy::PolicySelection;
+//! use avatar_gpu::core::system::{run_policy, RunOptions};
 //! use avatar_gpu::workloads::Workload;
 //!
 //! let w = Workload::by_abbr("SSSP").expect("Table III workload");
 //! let opts = RunOptions { scale: 0.02, sms: Some(2), warps: Some(4), ..RunOptions::default() };
-//! let base = run(&w, SystemConfig::Baseline, &opts);
-//! let avatar = run(&w, SystemConfig::Avatar, &opts);
+//! let [base, avatar] = ["baseline", "avatar"].map(|name| {
+//!     run_policy(&w, PolicySelection::parse(name).expect("registry name"), &opts)
+//! });
 //! println!(
 //!     "Avatar speedup {:.2}x, speculation accuracy {:.1}%",
 //!     avatar_gpu::core::system::speedup(&base, &avatar),

@@ -2,32 +2,35 @@
 //! architectural behaviour, runs must be deterministic, and the accounting
 //! must be conserved across configurations.
 
-use avatar_gpu::core::system::{run, RunOptions, SystemConfig};
+use avatar_gpu::core::policy::{PolicySelection, REGISTRY};
+use avatar_gpu::core::system::{run_policy, RunOptions};
+use avatar_gpu::sim::Stats;
 use avatar_gpu::workloads::Workload;
 
 fn opts() -> RunOptions {
     RunOptions { scale: 0.05, sms: Some(4), warps: Some(8), ..RunOptions::default() }
 }
 
-const ALL_CONFIGS: [SystemConfig; 9] = [
-    SystemConfig::Baseline,
-    SystemConfig::IdealTlb,
-    SystemConfig::Promotion,
-    SystemConfig::Colt,
-    SystemConfig::SnakeByte,
-    SystemConfig::CastOnly,
-    SystemConfig::Avatar,
-    SystemConfig::CastIdealValid,
-    SystemConfig::AvatarVpnT,
-];
+fn run(w: &Workload, name: &str, opts: &RunOptions) -> Stats {
+    run_policy(w, PolicySelection::parse(name).expect("registry name"), opts)
+}
+
+/// Every registry entry, plus its `+dead` variant where supported.
+fn all_selections() -> impl Iterator<Item = PolicySelection> {
+    REGISTRY.iter().flat_map(|def| {
+        let base = PolicySelection::base(def);
+        let dead = def.supports_dead_entry.then_some(PolicySelection { dead_entry: true, ..base });
+        std::iter::once(base).chain(dead)
+    })
+}
 
 #[test]
 fn every_configuration_completes_every_issued_access() {
     // The engine debug-asserts internally that all sector requests
     // complete; here we check the visible accounting across configs.
     let w = Workload::by_abbr("SSSP").unwrap();
-    for cfg in ALL_CONFIGS {
-        let s = run(&w, cfg, &opts());
+    for cfg in all_selections() {
+        let s = run_policy(&w, cfg, &opts());
         assert!(s.loads > 0, "{}: no loads issued", cfg.label());
         assert_eq!(
             s.sector_latency.count(),
@@ -50,9 +53,9 @@ fn speculation_does_not_change_the_work_performed() {
     // counts under every configuration — speculation accelerates, it must
     // not add or drop architectural work.
     let w = Workload::by_abbr("GC").unwrap();
-    let base = run(&w, SystemConfig::Baseline, &opts());
-    for cfg in ALL_CONFIGS {
-        let s = run(&w, cfg, &opts());
+    let base = run(&w, "baseline", &opts());
+    for cfg in all_selections() {
+        let s = run_policy(&w, cfg, &opts());
         assert_eq!(s.instructions, base.instructions, "{}", cfg.label());
         assert_eq!(s.loads, base.loads, "{}", cfg.label());
         assert_eq!(s.sector_requests, base.sector_requests, "{}", cfg.label());
@@ -62,14 +65,14 @@ fn speculation_does_not_change_the_work_performed() {
 #[test]
 fn runs_are_deterministic() {
     let w = Workload::by_abbr("XSB").unwrap();
-    for cfg in [SystemConfig::Avatar, SystemConfig::Colt, SystemConfig::SnakeByte] {
+    for cfg in ["avatar", "colt", "snakebyte"] {
         let a = run(&w, cfg, &opts());
         let b = run(&w, cfg, &opts());
-        assert_eq!(a.cycles, b.cycles, "{}", cfg.label());
-        assert_eq!(a.speculations, b.speculations, "{}", cfg.label());
-        assert_eq!(a.page_walks, b.page_walks, "{}", cfg.label());
-        assert_eq!(a.dram_read_bytes, b.dram_read_bytes, "{}", cfg.label());
-        assert_eq!(a.stall_cycles, b.stall_cycles, "{}", cfg.label());
+        assert_eq!(a.cycles, b.cycles, "{cfg}");
+        assert_eq!(a.speculations, b.speculations, "{cfg}");
+        assert_eq!(a.page_walks, b.page_walks, "{cfg}");
+        assert_eq!(a.dram_read_bytes, b.dram_read_bytes, "{cfg}");
+        assert_eq!(a.stall_cycles, b.stall_cycles, "{cfg}");
     }
 }
 
@@ -77,7 +80,7 @@ fn runs_are_deterministic() {
 fn accuracy_and_coverage_are_probabilities() {
     for abbr in ["GEMM", "SSSP", "SC"] {
         let w = Workload::by_abbr(abbr).unwrap();
-        let s = run(&w, SystemConfig::Avatar, &opts());
+        let s = run(&w, "avatar", &opts());
         assert!((0.0..=1.0).contains(&s.spec_accuracy()), "{abbr}");
         assert!((0.0..=1.0).contains(&s.spec_coverage()), "{abbr}");
         assert!(s.spec_correct <= s.speculations, "{abbr}");
@@ -92,7 +95,7 @@ fn accuracy_and_coverage_are_probabilities() {
 #[test]
 fn ideal_tlb_never_walks_or_misses() {
     let w = Workload::by_abbr("KM").unwrap();
-    let s = run(&w, SystemConfig::IdealTlb, &opts());
+    let s = run(&w, "ideal", &opts());
     assert_eq!(s.page_walks, 0);
     assert_eq!(s.l1_tlb_lookups, 0, "ideal TLB bypasses the hierarchy");
     assert_eq!(s.speculations, 0);
@@ -101,13 +104,13 @@ fn ideal_tlb_never_walks_or_misses() {
 #[test]
 fn cast_only_never_fast_translates_and_avatar_does() {
     let w = Workload::by_abbr("SSSP").unwrap();
-    let cast = run(&w, SystemConfig::CastOnly, &opts());
+    let cast = run(&w, "cast", &opts());
     assert!(cast.speculations > 0);
     assert_eq!(cast.outcomes.fast_translation, 0);
     assert_eq!(cast.eaf_fills, 0);
     assert_eq!(cast.spec_compressed, 0, "CAST-only never inspects sectors");
 
-    let avatar = run(&w, SystemConfig::Avatar, &opts());
+    let avatar = run(&w, "avatar", &opts());
     assert!(avatar.outcomes.fast_translation > 0);
     assert!(avatar.eaf_fills > 0);
 }
@@ -115,8 +118,8 @@ fn cast_only_never_fast_translates_and_avatar_does() {
 #[test]
 fn eaf_reduces_page_walks() {
     let w = Workload::by_abbr("SSSP").unwrap();
-    let no_eaf = run(&w, SystemConfig::AvatarNoEaf, &opts());
-    let avatar = run(&w, SystemConfig::Avatar, &opts());
+    let no_eaf = run(&w, "avatar-noeaf", &opts());
+    let avatar = run(&w, "avatar", &opts());
     assert!(
         avatar.page_walks + avatar.walks_aborted <= no_eaf.page_walks + no_eaf.walks_aborted + no_eaf.page_walks / 2,
         "EAF must not inflate walk work: avatar {}+{} vs no-eaf {}",
@@ -132,7 +135,7 @@ fn dram_traffic_is_conserved() {
     // Reads cover the fetched sectors and eviction flushes; writes cover
     // the migrated pages. Both must be nonzero and sane.
     let w = Workload::by_abbr("MD").unwrap();
-    let s = run(&w, SystemConfig::Baseline, &opts());
+    let s = run(&w, "baseline", &opts());
     assert!(s.dram_read_bytes > 0);
     assert_eq!(
         s.dram_write_bytes,
@@ -144,13 +147,13 @@ fn dram_traffic_is_conserved() {
 #[test]
 fn oversubscription_only_evicts_under_pressure() {
     let w = Workload::by_abbr("XSB").unwrap();
-    let unlimited = run(&w, SystemConfig::Baseline, &opts());
+    let unlimited = run(&w, "baseline", &opts());
     assert_eq!(unlimited.chunks_evicted, 0, "no pressure, no evictions");
     // A strongly constrained capacity guarantees churn regardless of how
     // much of the footprint the reduced trace touches.
     let constrained = run(
         &w,
-        SystemConfig::Baseline,
+        "baseline",
         &RunOptions { oversubscription: Some(1.3), scale: 0.25, ..opts() },
     );
     assert!(constrained.chunks_evicted > 0);
@@ -163,7 +166,7 @@ fn mis_speculation_is_detected_not_consumed() {
     // speculations, and Avatar must remain architecturally equivalent (all
     // loads complete — checked by the engine) despite them.
     let w = Workload::by_abbr("SC").unwrap();
-    let s = run(&w, SystemConfig::Avatar, &RunOptions { scale: 0.25, ..opts() });
+    let s = run(&w, "avatar", &RunOptions { scale: 0.25, ..opts() });
     assert!(s.speculations > 0);
     assert!(s.cava_mismatches <= s.speculations);
     assert!(s.spec_false <= s.speculations);
@@ -178,12 +181,12 @@ fn multi_tenancy_isolates_address_spaces() {
     let w = Workload::by_abbr("SSSP").unwrap();
     let single = run(
         &w,
-        SystemConfig::Avatar,
+        "avatar",
         &RunOptions { tenants: 1, scale: 0.1, sms: Some(8), warps: Some(8), ..RunOptions::default() },
     );
     let dual = run(
         &w,
-        SystemConfig::Avatar,
+        "avatar",
         &RunOptions { tenants: 2, scale: 0.1, sms: Some(8), warps: Some(8), ..RunOptions::default() },
     );
     assert!(dual.loads > 0);
@@ -202,8 +205,22 @@ fn multi_tenancy_isolates_address_spaces() {
 fn multi_tenancy_is_deterministic() {
     let w = Workload::by_abbr("GEMM").unwrap();
     let opts = RunOptions { tenants: 2, scale: 0.05, sms: Some(4), warps: Some(4), ..RunOptions::default() };
-    let a = run(&w, SystemConfig::Avatar, &opts);
-    let b = run(&w, SystemConfig::Avatar, &opts);
+    let a = run(&w, "avatar", &opts);
+    let b = run(&w, "avatar", &opts);
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.speculations, b.speculations);
+}
+
+#[test]
+fn speculative_fill_before_translation_loses_no_request() {
+    // A speculative fetch that fills before its translation arrives
+    // leaves the MSHR waiter list while the request waits on; when the
+    // correct translation then finds a fresh fetch of the same sector in
+    // flight, the request must join it rather than wait on the entry it
+    // already left. This cell takes that path.
+    let w = Workload::by_abbr("SC").unwrap();
+    let o = RunOptions { scale: 0.1, sms: Some(16), warps: Some(32), seed: 1, ..RunOptions::default() };
+    let s = run(&w, "avatar", &o);
+    assert_eq!(s.lost_requests, 0);
+    assert_eq!(s.sector_latency.count(), s.sector_requests);
 }
